@@ -6,7 +6,9 @@ the sparse-set prediction), verify (the full claim suite as text or JSON),
 hasse (DOT or JSON diagram export), fib (polynomial table).
 
 Exit status 0 means every requested computation agreed, 1 means some
-claim or identity failed, 2 means the request itself was invalid.
+claim or identity failed, 2 means the request itself was invalid or its
+size was refused, and 3 means the program itself failed: any unexpected
+exception is reported as one line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .fibpoly import fib_poly, h_poly
 from .nbb import nbb_bases_of
 
 DEFAULT_MAX_N = {"A": 10, "B": 9, "C": 10}
+# H_n lists all F_n sparse sets, about 1.6 times more per step: 75025 at n=25
+FIB_MAX_N = 25
+EXIT_INTERNAL_ERROR = 3
 
 
 def _json_dumps(data) -> str:
@@ -173,6 +178,11 @@ def cmd_hasse(parser, args) -> int:
 def cmd_fib(parser, args) -> int:
     if args.n < 1:
         parser.error("n must be positive")
+    if args.n > FIB_MAX_N and not args.force:
+        parser.error(
+            f"n={args.n} exceeds the bound {FIB_MAX_N} for fib; "
+            "pass --force to run anyway"
+        )
     f = fib_poly(args.n)
     h = h_poly(args.n)
     same = f == h
@@ -239,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("fib", help="print the polynomial table")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"index; above {FIB_MAX_N} needs --force")
     p.add_argument("--eval", type=int, help="also evaluate at this integer")
+    p.add_argument("--force", action="store_true", help="allow n beyond the bound")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_fib)
 
@@ -250,7 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except Exception as exc:
+        print(f"mobiuslat: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

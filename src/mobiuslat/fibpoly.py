@@ -87,14 +87,13 @@ def sparse_sets(n: int) -> list[tuple[int, ...]]:
     if n < 1:
         raise ValueError("universe bound must be at least 1")
     out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], last: int):
+    # depth-first with an explicit stack: each set precedes its extensions,
+    # and extensions are popped smallest first, which is lexicographic order
+    stack = [(1,)]
+    while stack:
+        prefix = stack.pop()
         out.append(prefix)
-        for nxt in range(last + 2, n + 1):
-            extend(prefix + (nxt,), nxt)
-
-    extend((1,), 1)
-    out.sort()
+        stack.extend(prefix + (nxt,) for nxt in range(n, prefix[-1] + 1, -1))
     return out
 
 

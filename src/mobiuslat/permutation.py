@@ -210,7 +210,45 @@ def weak_meet(p: Permutation, q: Permutation) -> Permutation:
 
 
 def _ends_with_pattern(word, pat_word) -> bool:
-    """Does some subsequence ending at the last position match the pattern?"""
+    """Does some subsequence ending at the last position match the pattern?
+
+    Patterns of length 3 take one pass over the prefix.  For
+    pat = a b c, walk the middle position j, keep the values seen before j
+    as bits of an integer, and where w_j sits on the side of the new value
+    v that b sits of c, test with one mask whether an earlier value falls
+    in the open interval that a demands among w_j and v.  Patterns of any
+    other length go to the subset search, which is linear for length 1 or 2.
+    """
+    if len(pat_word) != 3:
+        return _ends_with_pattern_oracle(word, pat_word)
+    last = len(word) - 1
+    if last < 2:
+        return False
+    v = word[-1]
+    a, b, c = pat_word
+    mid_above = b > c
+    # w_i lies strictly between a lower end lo and an upper end hi, each w_j,
+    # v or open; those values are the bits (1 << hi) - (2 << lo), where an
+    # open top contributes 0 and an open bottom is lo = 0 (values start at 1)
+    lo_j = c < b < a or b < a < c
+    lo_v = b < c < a or c < a < b
+    hi_j = a < b < c or c < a < b
+    hi_v = a < c < b or b < a < c
+    lo_fixed = 2 << v if lo_v else 2
+    hi_fixed = 1 << v if hi_v else 0
+    seen = 0
+    for wj in word[:last]:
+        if (wj > v) == mid_above:
+            lo = 2 << wj if lo_j else lo_fixed
+            hi = 1 << wj if hi_j else hi_fixed
+            if seen & (hi - lo):
+                return True
+        seen |= 1 << wj
+    return False
+
+
+def _ends_with_pattern_oracle(word, pat_word) -> bool:
+    """Subset search behind _ends_with_pattern: every (k-1)-subset of the prefix."""
     L, k = len(word), len(pat_word)
     if L < k:
         return False

@@ -1,13 +1,18 @@
 """Command line behaviour: output shapes, exit codes, determinism."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mobiuslat.cli as cli
 from mobiuslat.families import ClaimResult
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -264,6 +269,29 @@ def test_fib_rejects_bad_n(capsys):
     assert run_capture(capsys, ["fib", "--n", "0"])[0] == 2
 
 
+def test_fib_refuses_large_n_before_enumerating(monkeypatch):
+    monkeypatch.setattr(cli, "h_poly", lambda n: pytest.fail("h_poly ran"))
+    assert run_cli(["fib", "--n", str(cli.FIB_MAX_N + 1)]) == 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiuslat", "fib", "--n", "2000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "exceeds the bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_fib_force_passes_the_bound(capsys, monkeypatch):
+    # the sparse-set side is stubbed: only the gate is under test here
+    monkeypatch.setattr(cli, "h_poly", cli.fib_poly)
+    n = str(cli.FIB_MAX_N + 1)
+    code, out, _ = run_capture(capsys, ["fib", "--n", n, "--force"])
+    assert code == 0
+    assert out.startswith(f"F_{n}(q) = ")
+    assert out.endswith("H = F\n")
+
+
 # -- parser-level ----------------------------------------------------------------
 
 
@@ -273,6 +301,17 @@ def test_no_subcommand_exits_2(capsys):
 
 def test_unknown_family_exits_2(capsys):
     assert run_capture(capsys, ["mobius", "--family", "D", "--n", "3"])[0] == 2
+
+
+def test_unexpected_exception_is_one_line_exit_3(capsys, monkeypatch):
+    def broken(n, families=("A", "B", "C")):
+        raise RuntimeError("injected\nfault")
+
+    monkeypatch.setattr(cli, "mobius_summary", broken)
+    code, out, err = run_capture(capsys, ["mobius", "--family", "C", "--n", "3"])
+    assert code == cli.EXIT_INTERNAL_ERROR == 3
+    assert out == ""
+    assert err == "mobiuslat: internal error: RuntimeError('injected\\nfault')\n"
 
 
 def test_module_entry_point():
@@ -286,11 +325,28 @@ def test_module_entry_point():
     assert all(c["pass"] for c in data["claims"])
 
 
-def test_console_script():
-    import shutil
+def _console_script_target(name):
+    """The 'module:function' that pyproject.toml declares for a console script."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert section is not None
+    entry = re.search(rf"^{re.escape(name)}\s*=\s*\"([^\"]+)\"", section.group(1), re.M)
+    assert entry is not None
+    return entry.group(1)
 
-    exe = shutil.which("mobiuslat")
-    assert exe is not None
-    proc = subprocess.run([exe, "fib", "--n", "5"], capture_output=True, text=True)
+
+def test_console_script():
+    # run the declared entry point as the installed script would, without installing
+    module, func = _console_script_target("mobiuslat").split(":")
+    assert (module, func) == ("mobiuslat.cli", "main")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from {module} import {func}; raise SystemExit({func}())",
+         "fib", "--n", "5"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
     assert proc.returncode == 0
     assert "1 + 3*q + 1*q^2" in proc.stdout

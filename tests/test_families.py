@@ -2,8 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
+import mobiuslat.families as families
 from mobiuslat.families import (
     AVOIDED_PATTERNS,
     BOTTOM_LABEL,
@@ -29,7 +31,14 @@ from mobiuslat.families import (
     weak_order_lattice,
     word_label,
 )
-from mobiuslat.permutation import Permutation, enumerate_avoiders, weak_join, weak_leq
+from mobiuslat.families import _has_chained_inversions
+from mobiuslat.permutation import (
+    Permutation,
+    enumerate_avoiders,
+    inversion_set,
+    weak_join,
+    weak_leq,
+)
 
 
 def labels_of(fam):
@@ -397,3 +406,25 @@ def test_weak_order_lattice_sizes():
     assert weak_order_lattice(3).size == 6
     assert weak_order_lattice(4).size == 24
     assert weak_order_lattice(1).size == 1
+
+
+def test_chained_inversion_predicate_matches_per_word_loop():
+    for n in range(1, 8):
+        words = list(itertools.permutations(range(1, n + 1)))
+        got = _has_chained_inversions(np.array(words, dtype=np.int8).reshape(-1, n))
+        for w, flag in zip(words, got.tolist()):
+            inv = inversion_set(Permutation(w))
+            expect = any(
+                (i, j) in inv and (j, k) in inv
+                for j in range(2, n)
+                for i in range(1, j)
+                for k in range(j + 1, n + 1)
+            )
+            assert flag == expect, w
+
+
+def test_chained_inversion_claim_can_fail(monkeypatch):
+    monkeypatch.setattr(families, "_has_chained_inversions", lambda words: np.zeros(len(words), bool))
+    claim = next(c for c in verify_structure(3) if c.id == "chained-inversion-characterization")
+    assert not claim.passed
+    assert claim.witness == "321: chained inversions disagree with containment"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiuslat.families import AVOIDED_PATTERNS
 from mobiuslat.permutation import (
     DegreeMismatch,
     DuplicateEntries,
@@ -26,6 +27,7 @@ from mobiuslat.permutation import (
     weak_leq,
     weak_meet,
 )
+from mobiuslat.permutation import _ends_with_pattern, _ends_with_pattern_oracle
 
 P = Permutation
 
@@ -251,3 +253,49 @@ def test_enumerate_avoiders_no_patterns_gives_factorial():
 
     for n in range(1, 7):
         assert len(all_perms(n)) == math.factorial(n)
+
+
+# -- the linear anchored check against the subset search it replaced -------------
+
+SHORT_PATTERNS = [P(w) for k in (1, 2, 3) for w in itertools.permutations(range(1, k + 1))]
+
+
+def test_anchored_check_matches_oracle_exhaustively():
+    # every injective word over [7] of length <= 7: the prefixes enumeration checks at n=7
+    for length in range(1, 8):
+        for word in itertools.permutations(range(1, 8), length):
+            for pat in SHORT_PATTERNS:
+                fast = _ends_with_pattern(word, pat.word)
+                assert fast == _ends_with_pattern_oracle(word, pat.word), (word, pat)
+
+
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=12, unique=True),
+    st.sampled_from(SHORT_PATTERNS + [P((2, 4, 1, 3))]),
+)
+@settings(max_examples=300, deadline=None)
+def test_anchored_check_matches_oracle_on_random_words(word, pat):
+    assert _ends_with_pattern(word, pat.word) == _ends_with_pattern_oracle(word, pat.word)
+    p = standardize(word)
+    brute = any(standardize(sub) == pat for sub in itertools.combinations(p.word, pat.n))
+    assert contains_pattern(p, pat) == brute
+
+
+def _brute_avoiders(n, pats):
+    def shape(vals):
+        return tuple(a < b for a, b in itertools.combinations(vals, 2))
+
+    assert {p.n for p in pats} == {3}
+    shapes = {shape(p.word) for p in pats}
+    return [
+        P(w)
+        for w in itertools.permutations(range(1, n + 1))
+        if not any(shape(sub) in shapes for sub in itertools.combinations(w, 3))
+    ]
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_enumerate_avoiders_matches_brute_force_filter(family):
+    pats = AVOIDED_PATTERNS[family]
+    for n in range(1, 9):
+        assert enumerate_avoiders(n, pats) == _brute_avoiders(n, pats)
