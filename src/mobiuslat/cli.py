@@ -18,7 +18,6 @@ import json
 import sys
 
 from .families import (
-    BOTTOM_LABEL,
     build_family,
     mobius_summary,
     predicted_nbb_bases,
@@ -94,7 +93,6 @@ def cmd_nbb_bases(parser, args) -> int:
     bases = nbb_bases_of(fam.canonical_order, fam.nbb_target)
     listed = [fam.canonical_order.labels(b.atoms) for b in bases]
     side = "atoms" if args.family == "B" else "coatoms"
-    target = "1̂" if args.family == "B" else BOTTOM_LABEL
     predicted = None
     match = None
     if n >= 3:
@@ -115,7 +113,7 @@ def cmd_nbb_bases(parser, args) -> int:
             )
         )
     else:
-        print(f"NBB bases of {target} in family {args.family}, n={n} ({side}):")
+        print(f"NBB bases of {fam.adjoined} in family {args.family}, n={n} ({side}):")
         for b in listed:
             print("  " + " ".join(b))
         if not listed:

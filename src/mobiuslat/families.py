@@ -132,14 +132,19 @@ class FamilyLattice:
         n = self.n
         if n == 1:
             return AtomOrder(self.nbb_lattice, tuple(self.nbb_lattice.atoms()))
-        if self.family == "B":
-            labels = [str(adjacent_transposition(n, i)) for i in range(1, n)]
-        elif self.family == "C":
-            labels = [word_label(theta(n, i)) for i in range(1, n)]
-        else:
-            labels = [str(phi(n, theta(n, i))) for i in range(1, n)]
-        seq = tuple(self.lattice.poset.index(lab) for lab in labels)
+        seq = tuple(
+            self.lattice.poset.index(_canonical_atom(self.family, n, i)) for i in range(1, n)
+        )
         return AtomOrder(self.nbb_lattice, seq)
+
+
+def _canonical_atom(family: str, n: int, i: int) -> str:
+    """Label of canonical atom (B) or coatom (A, C) number i, 1 <= i < n."""
+    if family == "B":
+        return str(adjacent_transposition(n, i))
+    if family == "C":
+        return word_label(theta(n, i))
+    return str(phi(n, theta(n, i)))
 
 
 @lru_cache(maxsize=None)
@@ -285,16 +290,10 @@ def predicted_nbb_bases(family: str, n: int) -> list[tuple[str, ...]]:
         raise ValueError(f"unknown family {family!r}")
     if n < 3:
         raise ValueError("predictions need n >= 3")
-    if family == "B":
-        name = lambda i: str(adjacent_transposition(n, i))
-    elif family == "C":
-        name = lambda i: word_label(theta(n, i))
-    else:
-        name = lambda i: str(phi(n, theta(n, i)))
     out = []
     for s in sparse_sets(n - 2):
         indices = sorted({1} | {v + 1 for v in s})
-        out.append(tuple(name(i) for i in indices))
+        out.append(tuple(_canonical_atom(family, n, i) for i in indices))
     return out
 
 

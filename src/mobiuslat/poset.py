@@ -1,20 +1,24 @@
 """Finite posets and bounded lattices over numpy order matrices.
 
-A poset stores its full order relation as a boolean matrix plus the cover
-relation recovered from it.  Mobius values come straight from the defining
-recurrence (the value at (x, z) makes the interval sums telescope to a
-delta), evaluated bottom-up along a linear extension; this module is the
-oracle the rest of the package is measured against.
+A poset stores its full order relation as a boolean matrix plus its Hasse
+diagram, a boolean cover matrix computed once, when the order is validated
+at construction.  The dual transposes both instead of recomputing them.
+Mobius values come straight from the defining recurrence (the value at
+(x, z) makes the interval sums telescope to a delta), evaluated bottom-up
+along a linear extension; this module is the oracle the rest of the
+package is measured against.
 
-Lattice promotion computes total meet and join tables.  For an element x
-with lower covers d_1..d_k, any lower bound of {x, y} other than x itself
-sits under some d_t, so meet(x, y) must be the largest of the meet(d_t, y);
-when no single candidate dominates the others the input is not a lattice
-and the offending pair is reported.
+Lattice promotion computes total meet and join tables; the join table is
+the meet table of the dual.  For an element x with lower covers d_1..d_k,
+any lower bound of {x, y} other than x itself sits under some d_t, so
+meet(x, y) must be the largest of the meet(d_t, y); when no single
+candidate dominates the others the input is not a lattice and the
+offending pair is reported.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +43,6 @@ def _bool_square(m: np.ndarray) -> np.ndarray:
     reachable here; chunking keeps peak allocation at a few hundred rows.
     """
     n = m.shape[0]
-    if n <= 256:
-        return (m.astype(np.uint8) @ m.astype(np.uint8)).astype(bool)
     mf = m.astype(np.float32)
     out = np.empty((n, n), dtype=bool)
     step = 512
@@ -53,7 +55,7 @@ def _bool_square(m: np.ndarray) -> np.ndarray:
 class FinitePoset:
     """Immutable finite poset with string labels and a boolean leq matrix."""
 
-    def __init__(self, labels, leq: np.ndarray, *, _validated: bool = False):
+    def __init__(self, labels, leq: np.ndarray):
         self.labels: tuple[str, ...] = tuple(labels)
         n = len(self.labels)
         if len(set(self.labels)) != n:
@@ -61,18 +63,15 @@ class FinitePoset:
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (n, n):
             raise ValueError("order matrix shape does not match label count")
-        self._strict = leq & ~np.eye(n, dtype=bool)
-        if not _validated:
-            if not leq.diagonal().all():
-                raise ValueError("order relation is not reflexive")
-            if (self._strict & self._strict.T).any():
-                raise ValueError("order relation is not antisymmetric")
-            through = _bool_square(self._strict)
-            if (through & ~self._strict).any():
-                raise ValueError("order relation is not transitive")
-            self._covers_matrix = self._strict & ~through
-        else:
-            self._covers_matrix = None  # computed on demand
+        if not leq.diagonal().all():
+            raise ValueError("order relation is not reflexive")
+        strict = leq & ~np.eye(n, dtype=bool)
+        if (strict & strict.T).any():
+            raise ValueError("order relation is not antisymmetric")
+        through = _bool_square(strict)
+        if (through & ~strict).any():
+            raise ValueError("order relation is not transitive")
+        self._covers_matrix = strict & ~through
         self.leq = leq
         self.leq.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -131,30 +130,30 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (lo, hi) as indices, sorted."""
-        m = self._covers_matrix
-        if m is None:
-            m = self._strict & ~_bool_square(self._strict)
-            self._covers_matrix = m
-        lo, hi = np.nonzero(m)
-        return sorted(zip(lo.tolist(), hi.tolist()))
+        lo, hi = np.nonzero(self._covers_matrix)  # row-major, so already sorted
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def dual(self) -> "FinitePoset":
-        """Same elements, reversed order."""
-        return FinitePoset(self.labels, np.ascontiguousarray(self.leq.T), _validated=True)
+        """Same elements, reversed order.
 
-    def restrict(self, indices) -> "FinitePoset":
-        """Induced subposet on the given element indices."""
-        idx = np.asarray(sorted(indices), dtype=np.intp)
-        sub = np.ascontiguousarray(self.leq[np.ix_(idx, idx)])
-        return FinitePoset([self.labels[i] for i in idx], sub, _validated=True)
+        The transpose of a valid order is valid and its Hasse diagram is the
+        transposed one, so nothing is validated or derived again; both are
+        views of this poset's matrices, not copies.
+        """
+        d = copy.copy(self)
+        d.leq = self.leq.T
+        d._covers_matrix = self._covers_matrix.T
+        d._mobius_cols = {}
+        d._extension = None
+        return d
 
     def interval(self, x, z) -> "FinitePoset":
         """The subposet {y : x <= y <= z}."""
         xi, zi = self._as_index(x), self._as_index(z)
         if not self.leq[xi, zi]:
             raise NotComparable(f"{self.labels[xi]} is not below {self.labels[zi]}")
-        members = np.nonzero(self.leq[xi] & self.leq[:, zi])[0]
-        return self.restrict(members)
+        idx = np.nonzero(self.leq[xi] & self.leq[:, zi])[0]
+        return FinitePoset([self.labels[i] for i in idx], self.leq[np.ix_(idx, idx)])
 
     # -- Mobius values ------------------------------------------------------
 
@@ -262,11 +261,11 @@ class BoundedLattice:
 
     def atoms(self) -> list[int]:
         """Elements covering the bottom, in element-index order."""
-        return sorted(hi for lo, hi in self.poset.covers() if lo == self.bottom)
+        return np.flatnonzero(self.poset._covers_matrix[self.bottom]).tolist()
 
     def coatoms(self) -> list[int]:
         """Elements covered by the top, in element-index order."""
-        return sorted(lo for lo, hi in self.poset.covers() if hi == self.top)
+        return np.flatnonzero(self.poset._covers_matrix[:, self.top]).tolist()
 
     def mobius_number(self) -> int:
         """mu(bottom, top) by the defining recurrence."""
@@ -287,28 +286,21 @@ class BoundedLattice:
         return as_lattice(self.poset.interval(x, z))
 
 
-def _meet_table(poset: FinitePoset, reverse: bool, bottom: int) -> np.ndarray:
+def _meet_table(poset: FinitePoset, bottom: int) -> np.ndarray:
     n = poset.size
-    leq = np.ascontiguousarray(poset.leq.T) if reverse else poset.leq
-    ext = np.argsort(leq.sum(axis=0), kind="stable")
+    leq = poset.leq
+    ext = poset._linear_extension()
     pos = np.empty(n, dtype=np.intp)
     pos[ext] = np.arange(n)
-    lower = [[] for _ in range(n)]
-    for lo, hi in poset.covers():
-        if reverse:
-            lo, hi = hi, lo
-        lower[hi].append(lo)
     dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
     table = np.full((n, n), -1, dtype=dtype)
     table[bottom, bottom] = bottom
-    done = np.empty(0, dtype=np.intp)
-    for step, x in enumerate(ext.tolist()):
-        if step == 0:
-            done = np.array([x], dtype=np.intp)
-            continue
-        covs = lower[x]
+    # ext[0] is the bottom, the only element whose down-set has size 1
+    for step in range(1, n):
+        x, done = int(ext[step]), ext[:step]
+        covs = np.flatnonzero(poset._covers_matrix[:, x])
         mv = table[np.ix_(covs, done)].astype(np.intp)
-        pick = mv[pos[mv].argmax(axis=0), np.arange(len(done))]
+        pick = mv[pos[mv].argmax(axis=0), np.arange(step)]
         bad = ~leq[mv, pick[None, :]].all(axis=0)
         row = np.where(leq[done, x], done, np.where(leq[x, done], x, pick))
         comparable = leq[done, x] | leq[x, done]
@@ -321,7 +313,6 @@ def _meet_table(poset: FinitePoset, reverse: bool, bottom: int) -> np.ndarray:
         table[x, done] = row.astype(dtype)
         table[done, x] = row.astype(dtype)
         table[x, x] = x
-        done = np.append(done, x)
     return table
 
 
@@ -329,8 +320,8 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     """Promote a poset to a lattice, or reject it with a witness.
 
     Requires a unique minimum and maximum; then builds the full meet table
-    (and, on the reversed order, the join table) along a linear extension,
-    checking at every step that the candidate bound is unique.
+    (and, as the meet table of the dual, the join table) along a linear
+    extension, checking at every step that the candidate bound is unique.
     """
     n = poset.size
     bottoms = np.nonzero(poset.leq.sum(axis=1) == n)[0]
@@ -340,6 +331,6 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     if len(tops) != 1:
         raise NotALattice("no unique maximum element")
     bottom, top = int(bottoms[0]), int(tops[0])
-    meet = _meet_table(poset, False, bottom)
-    join = _meet_table(poset, True, top)
+    meet = _meet_table(poset, bottom)
+    join = _meet_table(poset.dual(), top)
     return BoundedLattice(poset=poset, bottom=bottom, top=top, meet_table=meet, join_table=join)

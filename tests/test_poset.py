@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+import mobiuslat.poset as poset_module
 from mobiuslat.families import build_family, weak_order_lattice
+from mobiuslat.nbb import shuffled_order
 from mobiuslat.poset import (
     CycleDetected,
     FinitePoset,
@@ -112,6 +114,26 @@ def test_dual_transposes():
     assert np.array_equal(d.dual().leq, p.leq)
     got = {(d.labels[lo], d.labels[hi]) for lo, hi in d.covers()}
     assert got == {("a", "0"), ("b", "0"), ("1", "a"), ("1", "b")}
+
+
+def test_dual_reuses_the_hasse_diagram(monkeypatch):
+    p = cube()
+
+    def refuse(m):
+        raise AssertionError("the dual must not recompute its Hasse diagram")
+
+    monkeypatch.setattr(poset_module, "_bool_square", refuse)
+    d = p.dual()
+    assert d.covers() == sorted((hi, lo) for lo, hi in p.covers())
+    lat = as_lattice(p)
+    assert lat.dual().atoms() == lat.coatoms()
+
+
+def test_dual_mobius_after_primal_queries():
+    # a Mobius cache shared with the dual would hand back the primal rows
+    for p in (cube(), chain(4), weak_order_lattice(4).poset):
+        p.mobius(0, p.size - 1)
+        assert np.array_equal(p.dual().mobius_matrix(), p.mobius_matrix().T)
 
 
 def test_interval():
@@ -271,6 +293,18 @@ def test_lattice_dual_swaps_structure():
     assert d.join("a", "b") == lat.meet("a", "b")
     assert d.mobius_number() == lat.mobius_number() == 2
     assert sorted(d.atoms()) == sorted(lat.coatoms())
+
+
+def test_shuffled_orders_leave_atoms_sorted():
+    # shuffled_order shuffles the list atoms() returns, so it must be a copy
+    import random
+
+    lat = as_lattice(cube())
+    atoms = lat.atoms()
+    rng = random.Random(3)
+    shuffled_order(lat, rng)
+    shuffled_order(lat, rng)
+    assert lat.atoms() == atoms == sorted(atoms)
 
 
 def test_interval_lattice():
