@@ -183,6 +183,7 @@ def build_family(family: str, n: int) -> FamilyLattice:
         elements = tuple(perms) + (None,)
         leq[:, -1] = True
         leq[:-1, :-1] = core
+    del core  # copied into leq; freed before validation, the memory peak
     np.fill_diagonal(leq, True)
     lattice = as_lattice(FinitePoset(labels, leq))
     adjoined = BOTTOM_LABEL if family == "A" else TOP_LABEL

@@ -14,12 +14,22 @@ earliest member of D serves every member at once, and the earliest member
 can accept no other witness, so D is BB exactly when some atom before
 min(D) lies below join(D).  The test suite re-checks this against the raw
 per-member definition by exhaustive enumeration.
+
+The enumeration rests on a second fact, the suffix lemma: a set D has a
+BB subset exactly when one of its suffixes S_m = {q in D : q >= m}, for m
+in D, is BB.  Proof: let T be a BB subset of D and m = min(T).  Then T is
+inside S_m, so join(T) <= join(S_m), and both sets have the earliest
+member m.  An atom before m lying strictly below join(T) lies strictly
+below join(S_m) as well, so S_m is BB.  A grown set therefore costs |D|
+tests rather than one per subset.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .poset import BoundedLattice
 
@@ -64,67 +74,57 @@ def shuffled_order(lattice: BoundedLattice, rng) -> AtomOrder:
 
 
 class _Search:
-    """Shared state for BB tests and base enumeration over one order."""
+    """Per-order tables for BB tests and the NBB enumeration.
+
+    The join-table column of the atom at each position becomes a list, so
+    extending a join by one atom is one list index; the atoms strictly
+    below each element become one bitmask of positions, a Python int,
+    exact for any number of atoms.
+    """
 
     def __init__(self, order: AtomOrder):
-        self.order = order
-        self.lattice = order.lattice
+        lattice = order.lattice
         self.atoms = order.sequence
-        self._joins: dict[int, int] = {0: self.lattice.bottom}
-        self._below: dict[int, int] = {}
+        atoms = list(self.atoms)
+        k = len(atoms)
+        self._with_atom = lattice.join_table[:, atoms].T.tolist()
+        strict = lattice.poset.leq[atoms]
+        strict[np.arange(k), atoms] = False
+        weights = np.array([1 << p for p in range(k)], dtype=object)
+        self._below = (weights @ strict).tolist()
+        self._joins: dict[int, int] = {0: lattice.bottom}
 
     def join(self, mask: int) -> int:
         """Join of the atoms at the masked positions, cached per mask."""
         v = self._joins.get(mask)
         if v is None:
             low = mask & -mask
-            v = self.lattice.join(
-                self.join(mask ^ low), self.atoms[low.bit_length() - 1]
-            )
+            v = self._with_atom[low.bit_length() - 1][self.join(mask ^ low)]
             self._joins[mask] = v
         return v
 
-    def below_positions(self, element: int) -> int:
-        """Bitmask of order positions whose atom is strictly below element."""
-        bm = self._below.get(element)
-        if bm is None:
-            bm = 0
-            for p, a in enumerate(self.atoms):
-                if a != element and self.lattice.leq(a, element):
-                    bm |= 1 << p
-            self._below[element] = bm
-        return bm
-
     def is_bb(self, mask: int) -> bool:
-        first = (mask & -mask).bit_length() - 1
-        return self.below_positions(self.join(mask)) & ((1 << first) - 1) != 0
+        return self._below[self.join(mask)] & ((mask & -mask) - 1) != 0
 
     def nbb_sets(self):
         """Yield every NBB position mask, nonempty, by pruned backtracking.
 
-        Sets are grown in order position; any BB subset of a grown set
-        must contain the newest position, so only those subsets are
-        checked before descending.
+        Sets are grown in order position and extended only while NBB, as
+        every subset of an NBB set is NBB.  By the suffix lemma in the
+        module docstring a grown set D is NBB exactly when none of its |D|
+        suffixes is BB, so only those are checked, dropping the earliest
+        member each time, before descending.
         """
-        k = len(self.atoms)
+        return self._grow(0, 0)
 
-        def grow(mask: int, start: int):
-            for p in range(start, k):
-                bit = 1 << p
-                sub = mask
-                ok = True
-                while True:
-                    if self.is_bb(sub | bit):
-                        ok = False
-                        break
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & mask
-                if ok:
-                    yield mask | bit
-                    yield from grow(mask | bit, p + 1)
-
-        yield from grow(0, 0)
+    def _grow(self, mask: int, start: int):
+        for p in range(start, len(self.atoms)):
+            grown = rest = mask | 1 << p
+            while rest and not self.is_bb(rest):
+                rest &= rest - 1
+            if not rest:
+                yield grown
+                yield from self._grow(grown, p + 1)
 
 
 def _mask_atoms(order: AtomOrder, atoms) -> int:
@@ -160,18 +160,18 @@ def is_nbb(order: AtomOrder, atoms) -> bool:
     return True
 
 
-def _bases(search: _Search):
-    for mask in search.nbb_sets():
-        atoms = tuple(
-            search.atoms[p] for p in range(mask.bit_length()) if mask >> p & 1
-        )
-        yield NbbBase(atoms=atoms, joins_to=search.join(mask))
-
-
 def nbb_bases_of(order: AtomOrder, x) -> list[NbbBase]:
     """All NBB sets joining to x, atoms listed in order position."""
     xi = order.lattice._as_index(x)
-    return [b for b in _bases(_Search(order)) if b.joins_to == xi]
+    search = _Search(order)
+    return [
+        NbbBase(
+            atoms=tuple(search.atoms[p] for p in range(mask.bit_length()) if mask >> p & 1),
+            joins_to=search.join(mask),
+        )
+        for mask in search.nbb_sets()
+        if search.join(mask) == xi
+    ]
 
 
 def mobius_via_nbb(order: AtomOrder) -> int:
@@ -183,8 +183,9 @@ def mobius_via_nbb(order: AtomOrder) -> int:
     lattice = order.lattice
     if lattice.size < 2:
         raise ValueError("lattice must have distinct bounds")
+    search = _Search(order)
     total = 0
-    for base in _bases(_Search(order)):
-        if base.joins_to == lattice.top:
-            total += -1 if len(base.atoms) % 2 else 1
+    for mask in search.nbb_sets():
+        if search.join(mask) == lattice.top:
+            total += -1 if mask.bit_count() % 2 else 1
     return total

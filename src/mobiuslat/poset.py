@@ -53,7 +53,11 @@ def _bool_square(m: np.ndarray) -> np.ndarray:
 
 
 class FinitePoset:
-    """Immutable finite poset with string labels and a boolean leq matrix."""
+    """Immutable finite poset with string labels and a boolean leq matrix.
+
+    A boolean matrix is not copied: leq is a read-only view of it, so the
+    caller's array stays writable but must not change afterwards.
+    """
 
     def __init__(self, labels, leq: np.ndarray):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -72,7 +76,7 @@ class FinitePoset:
         if (through & ~strict).any():
             raise ValueError("order relation is not transitive")
         self._covers_matrix = strict & ~through
-        self.leq = leq
+        self.leq = leq.view()
         self.leq.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._mobius_cols: dict[int, np.ndarray] = {}
@@ -286,9 +290,27 @@ class BoundedLattice:
         return as_lattice(self.poset.interval(x, z))
 
 
+def _lower_covers(poset: FinitePoset) -> list[np.ndarray]:
+    """Lower covers of each element, ascending, from one scan of the covers.
+
+    The cover matrix is scanned in memory order, whether it is the poset's
+    own C-ordered array or the transposed view a dual holds.
+    """
+    n = poset.size
+    covers = poset._covers_matrix
+    if covers.flags.c_contiguous:
+        lo, hi = np.divmod(np.flatnonzero(covers), n)
+        by_hi = np.argsort(hi, kind="stable")
+        lo, hi = lo[by_hi], hi[by_hi]
+    else:
+        hi, lo = np.divmod(np.flatnonzero(covers.T), n)
+    return np.split(lo, np.searchsorted(hi, np.arange(1, n)))
+
+
 def _meet_table(poset: FinitePoset, bottom: int) -> np.ndarray:
     n = poset.size
     leq = poset.leq
+    lower = _lower_covers(poset)
     ext = poset._linear_extension()
     pos = np.empty(n, dtype=np.intp)
     pos[ext] = np.arange(n)
@@ -298,8 +320,7 @@ def _meet_table(poset: FinitePoset, bottom: int) -> np.ndarray:
     # ext[0] is the bottom, the only element whose down-set has size 1
     for step in range(1, n):
         x, done = int(ext[step]), ext[:step]
-        covs = np.flatnonzero(poset._covers_matrix[:, x])
-        mv = table[np.ix_(covs, done)].astype(np.intp)
+        mv = table[np.ix_(lower[x], done)].astype(np.intp)
         pick = mv[pos[mv].argmax(axis=0), np.arange(step)]
         bad = ~leq[mv, pick[None, :]].all(axis=0)
         row = np.where(leq[done, x], done, np.where(leq[x, done], x, pick))

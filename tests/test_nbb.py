@@ -1,11 +1,16 @@
 """NBB atom sets and Mobius numbers, checked against the raw definition."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mobiuslat.nbb as nbb_module
 from mobiuslat.families import build_family, weak_order_lattice
 from mobiuslat.nbb import (
     AtomOrder,
@@ -195,6 +200,17 @@ def equivalence_case(lat, order):
     assert engine == raw_nbb_bases(order)
 
 
+def signed(sizes):
+    return sum(-1 if k % 2 else 1 for k in sizes)
+
+
+def signed_count_case(order):
+    lat = order.lattice
+    via_bases = signed(len(b.atoms) for b in nbb_bases_of(order, lat.top))
+    via_raw = signed(len(atoms) for atoms, x in raw_nbb_bases(order) if x == lat.top)
+    assert mobius_via_nbb(order) == via_bases == via_raw == lat.mobius_number()
+
+
 def test_engine_matches_raw_definition():
     cases = [
         m3_lattice(),
@@ -247,10 +263,10 @@ def test_per_element_mobius_identity():
 
 
 def test_order_independence_exhaustive():
+    # the signed count of top's bases and of the raw NBB sets agree too
     for lat in (m3_lattice(), weak_order_lattice(3), weak_order_lattice(4)):
-        want = lat.mobius_number()
         for seq in itertools.permutations(lat.atoms()):
-            assert mobius_via_nbb(AtomOrder(lat, seq)) == want
+            signed_count_case(AtomOrder(lat, seq))
 
 
 def test_dual_run_gives_same_mobius():
@@ -277,3 +293,66 @@ def test_random_intervals_of_s5():
         order = shuffled_order(sub, rng)
         assert mobius_via_nbb(order) == p.mobius(x, z)
         done += 1
+
+
+SHUFFLED = {
+    "partition-4": partition_lattice(4),
+    "B5": build_family("B", 5).lattice,
+    "C6-dual": build_family("C", 6).lattice.dual(),
+}
+
+
+@given(st.sampled_from(sorted(SHUFFLED)).flatmap(
+    lambda name: st.tuples(st.just(name), st.permutations(SHUFFLED[name].atoms()))
+))
+@settings(max_examples=30, deadline=None)
+def test_signed_count_on_drawn_orders(case):
+    name, seq = case
+    signed_count_case(AtomOrder(SHUFFLED[name], tuple(seq)))
+
+
+def wide_lattice(k):
+    """k pairwise incomparable atoms; the last three also lie below e."""
+    labels = ["0"] + [f"a{i}" for i in range(k)] + ["e", "1"]
+    n = len(labels)
+    leq = np.eye(n, dtype=bool)
+    leq[0] = True
+    leq[:, n - 1] = True
+    leq[k - 2 : k + 1, n - 2] = True
+    return as_lattice(FinitePoset(labels, leq))
+
+
+def test_seventy_atoms_stay_exact():
+    # in the canonical order {a68, a69} is BB only through a67, whose
+    # position, 67, is past what an int64 below-mask can hold
+    lat = wide_lattice(70)
+    e = lat.poset.index("e")
+    assert lat.poset.mobius(lat.bottom, e) == 2
+    assert lat.mobius_number() == 67
+    canonical = AtomOrder(lat, tuple(lat.atoms()))
+    # 70 singletons, the 69 pairs and 2 triples holding a0, and 2 pairs
+    # below e; capped, so a search that fails to prune stops here
+    found = list(itertools.islice(nbb_module._Search(canonical).nbb_sets(), 144))
+    assert len(found) == 143
+    bases = [[lat.labels[a] for a in b.atoms] for b in nbb_bases_of(canonical, e)]
+    assert bases == [["a67", "a68"], ["a67", "a69"]]
+    assert mobius_via_nbb(canonical) == 67
+    assert mobius_via_nbb(shuffled_order(lat, random.Random(70))) == 67
+
+
+def test_finished_search_is_freed_without_cyclic_gc():
+    lat = partition_lattice(4)
+    order = AtomOrder(lat, tuple(lat.atoms()))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        search = nbb_module._Search(order)
+        ref = weakref.ref(search)
+        sets = search.nbb_sets()
+        del search
+        assert len(list(sets)) > 0
+        del sets
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

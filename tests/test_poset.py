@@ -94,6 +94,25 @@ def test_matrix_constructor_validates():
         FinitePoset("abc", bad_transitive)
 
 
+def test_constructor_leaves_the_callers_array_writable():
+    a = np.eye(2, dtype=bool)
+    p = FinitePoset("ab", a)
+    a[0, 1] = True  # raised "assignment destination is read-only" once
+    for leq in (p.leq, p.dual().leq):
+        assert not leq.flags.writeable
+        with pytest.raises(ValueError):
+            leq[1, 0] = True
+
+
+def test_lower_covers_in_either_memory_order():
+    for p in (cube(), weak_order_lattice(4).poset):
+        for q in (p, p.dual()):
+            lower = poset_module._lower_covers(q)
+            assert [c.tolist() for c in lower] == [
+                np.flatnonzero(q._covers_matrix[:, x]).tolist() for x in range(q.size)
+            ]
+
+
 def test_covers_of_diamond():
     p = diamond()
     got = {(p.labels[lo], p.labels[hi]) for lo, hi in p.covers()}
