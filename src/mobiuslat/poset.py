@@ -3,6 +3,10 @@
 A poset stores its full order relation as a boolean matrix plus its Hasse
 diagram, a boolean cover matrix computed once, when the order is validated
 at construction.  The dual transposes both instead of recomputing them.
+Validation packs each row of the strict order into 64-bit words and ORs
+the packed up-sets of every element above x into x's two-step reach, so
+its cost follows the number of comparable pairs rather than N^3; the
+transitivity check and the covers both read off that reach.
 Mobius values come straight from the defining recurrence (the value at
 (x, z) makes the interval sums telescope to a delta), evaluated bottom-up
 along a linear extension; this module is the oracle the rest of the
@@ -13,7 +17,9 @@ the meet table of the dual.  For an element x with lower covers d_1..d_k,
 any lower bound of {x, y} other than x itself sits under some d_t, so
 meet(x, y) must be the largest of the meet(d_t, y); when no single
 candidate dominates the others the input is not a lattice and the
-offending pair is reported.
+offending pair is reported.  The table is built in linear-extension
+coordinates, where the finished elements are a prefix and every access is
+a slice, and then mapped back to element indices in place.
 """
 
 from __future__ import annotations
@@ -36,20 +42,40 @@ class NotALattice(ValueError):
     """Raised when some pair lacks a unique meet or join."""
 
 
-def _bool_square(m: np.ndarray) -> np.ndarray:
-    """Boolean matrix product m @ m, exact, chunked to bound memory.
+# Work is chunked so that no temporary comes near N^2 bytes: the glibc heap
+# keeps what a large temporary freed, and peak RSS follows the largest one.
+_PAIR_CHUNK = 1 << 12  # comparable pairs gathered at once during validation
+_ENTRY_CHUNK = 1 << 16  # table entries remapped at once
 
-    float32 keeps integer counts exact below 2**24, far above any row sum
-    reachable here; chunking keeps peak allocation at a few hundred rows.
+
+def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a strict order packed 64 to a word, and their two-step reach.
+
+    Row x of `through` is the OR of the packed up-sets of every y with
+    x < y, i.e. the boolean square of `strict` without an N^3 product:
+    the work follows the number of comparable pairs.  Rows are gathered in
+    chunks of whole rows, about _PAIR_CHUNK pairs each, and folded with
+    one `bitwise_or.reduceat` per chunk.
     """
-    n = m.shape[0]
-    mf = m.astype(np.float32)
-    out = np.empty((n, n), dtype=bool)
-    step = 512
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        out[lo:hi] = (mf[lo:hi] @ mf) > 0.5
-    return out
+    n = strict.shape[0]
+    words = -(-n // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(strict, axis=1)
+    packed = packed.view(np.uint64)
+    through = np.zeros_like(packed)
+    counts = np.count_nonzero(strict, axis=1)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < n:
+        base = int(ends[lo] - counts[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
+        rows = lo + np.flatnonzero(counts[lo:hi])
+        if len(rows):
+            ys = np.flatnonzero(strict[lo:hi]) % n
+            starts = ends[rows] - counts[rows] - base
+            through[rows] = np.bitwise_or.reduceat(packed[ys], starts, axis=0)
+        lo = hi
+    return packed, through
 
 
 class FinitePoset:
@@ -69,13 +95,20 @@ class FinitePoset:
             raise ValueError("order matrix shape does not match label count")
         if not leq.diagonal().all():
             raise ValueError("order relation is not reflexive")
-        strict = leq & ~np.eye(n, dtype=bool)
-        if (strict & strict.T).any():
+        strict = leq.copy()
+        np.fill_diagonal(strict, False)
+        packed, through = _packed_through(strict)
+        del strict
+        # x < y < x puts x in its own two-step reach, and only then; packbits
+        # keeps column c in bit 0x80 >> (c % 8) of byte c // 8
+        diag = np.arange(n)
+        if (through.view(np.uint8)[diag, diag >> 3] & (0x80 >> (diag & 7))).any():
             raise ValueError("order relation is not antisymmetric")
-        through = _bool_square(strict)
-        if (through & ~strict).any():
+        if (through & ~packed).any():
             raise ValueError("order relation is not transitive")
-        self._covers_matrix = strict & ~through
+        np.bitwise_not(through, out=through)
+        through &= packed
+        self._covers_matrix = np.unpackbits(through.view(np.uint8), axis=1, count=n).view(bool)
         self.leq = leq.view()
         self.leq.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -307,34 +340,76 @@ def _lower_covers(poset: FinitePoset) -> list[np.ndarray]:
     return np.split(lo, np.searchsorted(hi, np.arange(1, n)))
 
 
-def _meet_table(poset: FinitePoset, bottom: int) -> np.ndarray:
+def _meet_table(poset: FinitePoset) -> np.ndarray:
+    """Total meet table, built in linear-extension coordinates.
+
+    While it is built, element ext[i] is called i, so the elements already
+    done at step i are 0..i-1 and every read and write is a slice; the
+    table is mapped back to element indices in place at the end.
+
+    No order matrix is read.  Every j before x = ext[i] has a down-set no
+    larger than x's, and x <= j would make the two down-sets equal, so x
+    lies below none of them.  If j <= x, then j lies under some lower cover
+    of x, that candidate is j itself and the others lie below j, so the
+    largest candidate is j; otherwise the largest candidate is the meet
+    when every other candidate lies below it, which the finished part of
+    the table answers: a <= b exactly when meet(a, b) == a.
+    """
     n = poset.size
-    leq = poset.leq
     lower = _lower_covers(poset)
     ext = poset._linear_extension()
     pos = np.empty(n, dtype=np.intp)
     pos[ext] = np.arange(n)
     dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    table = np.full((n, n), -1, dtype=dtype)
-    table[bottom, bottom] = bottom
-    # ext[0] is the bottom, the only element whose down-set has size 1
+    table = np.empty((n, n), dtype=dtype)
+    # ext[0] is the bottom (as_lattice checked there is one), the only
+    # element whose down-set has size 1
+    table[0, 0] = 0
     for step in range(1, n):
-        x, done = int(ext[step]), ext[:step]
-        mv = table[np.ix_(lower[x], done)].astype(np.intp)
-        pick = mv[pos[mv].argmax(axis=0), np.arange(step)]
-        bad = ~leq[mv, pick[None, :]].all(axis=0)
-        row = np.where(leq[done, x], done, np.where(leq[x, done], x, pick))
-        comparable = leq[done, x] | leq[x, done]
-        bad &= ~comparable
-        if bad.any():
-            y = int(done[int(np.nonzero(bad)[0][0])])
-            raise NotALattice(
-                f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}"
-            )
-        table[x, done] = row.astype(dtype)
-        table[done, x] = row.astype(dtype)
-        table[x, x] = x
+        covers = pos[lower[ext[step]]]
+        mv = table[covers, :step]
+        row = mv.max(axis=0)
+        if len(covers) > 1:
+            bad = ~(np.take(table, mv.astype(np.intp) * n + row) == mv).all(axis=0)
+            if bad.any():
+                x, y = ext[step], ext[int(bad.argmax())]
+                raise NotALattice(
+                    f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}"
+                )
+        table[step, :step] = row
+        table[:step, step] = row
+        table[step, step] = step
+    _unpermute(table, pos, ext.astype(dtype))
     return table
+
+
+def _unpermute(table: np.ndarray, pos: np.ndarray, ext: np.ndarray) -> None:
+    """In place, table[a, b] <- ext[table[pos[a], pos[b]]].
+
+    Rows move along the cycles of pos with one row buffer; columns and
+    values are then mapped a chunk of rows at a time.
+    """
+    n = len(pos)
+    to = pos.tolist()
+    moved = [False] * n
+    buf = np.empty(n, dtype=table.dtype)
+    for start in range(n):
+        if moved[start]:
+            continue
+        buf[:] = table[start]
+        cur = start
+        while True:
+            moved[cur] = True
+            src = to[cur]
+            if src == start:
+                table[cur] = buf
+                break
+            table[cur] = table[src]
+            cur = src
+    step = max(1, _ENTRY_CHUNK // n)
+    for lo in range(0, n, step):
+        block = table[lo : lo + step]
+        block[:] = np.take(ext, np.take(block, pos, axis=1))
 
 
 def as_lattice(poset: FinitePoset) -> BoundedLattice:
@@ -352,6 +427,6 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     if len(tops) != 1:
         raise NotALattice("no unique maximum element")
     bottom, top = int(bottoms[0]), int(tops[0])
-    meet = _meet_table(poset, bottom)
-    join = _meet_table(poset.dual(), top)
+    meet = _meet_table(poset)
+    join = _meet_table(poset.dual())
     return BoundedLattice(poset=poset, bottom=bottom, top=top, meet_table=meet, join_table=join)
