@@ -4,7 +4,9 @@ Family A: permutations of [n] avoiding 123, 132 and 213, under the weak
 order, with an artificial bottom adjoined.  Family B: 321-avoiding
 permutations under the weak order, with an artificial top.  Family C:
 compositions of n into parts 1 and 2, a part 2 splitting into 1+1 to move
-up, again with an artificial bottom.
+up, again with an artificial bottom.  All three are bitmasks under
+containment: the weak order is containment of inversion sets, and a split
+adds one partial sum, so C is containment of the words' partial sums.
 
 A and C are isomorphic: reading a composition word left to right, a 1
 prepends the largest unused value and a 2 prepends the two largest in
@@ -86,24 +88,30 @@ def _check_word(n: int, word) -> tuple[int, ...]:
     return word
 
 
-def _mask_leq_matrix(masks: list[int], nbits: int) -> np.ndarray:
-    """Pairwise subset tests over packed bitmasks: leq[p, q] iff p <= q."""
-    count = len(masks)
-    limbs = max(1, (nbits + 63) // 64)
-    packed = np.zeros((count, limbs), dtype=np.uint64)
-    for row, mask in enumerate(masks):
-        for limb in range(limbs):
-            packed[row, limb] = (mask >> (64 * limb)) & 0xFFFFFFFFFFFFFFFF
-    leq = np.empty((count, count), dtype=bool)
-    step = 1024
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        block = np.ones((hi - lo, count), dtype=bool)
-        for limb in range(limbs):
-            col = packed[:, limb]
-            block &= (packed[lo:hi, limb][:, None] & ~col[None, :]) == 0
-        leq[lo:hi] = block
-    return leq
+def _split_mask(word) -> int:
+    """Bit s-1 set for each partial sum s of a composition word, short of n."""
+    return sum(1 << (total - 1) for total in itertools.accumulate(word[:-1]))
+
+
+# Mask pairs compared at once.  Blocks are bounded in entries, not rows:
+# glibc keeps a large freed temporary resident, and peak RSS follows it.
+_SUBSET_CHUNK = 1 << 18
+
+
+def _containment_order(masks: list[int], nbits: int, out: np.ndarray) -> None:
+    """Write out[p, q] = (masks[p] is a subset of masks[q]) in place.
+
+    `out` is the caller's order matrix, or the slice of it that leaves out
+    an adjoined bound.  Masks of nbits bits are packed into 64-bit limbs.
+    """
+    shifts = range(0, max(nbits, 1), 64)
+    packed = np.array([[(m >> s) & 0xFFFFFFFFFFFFFFFF for s in shifts] for m in masks], np.uint64)
+    step = max(1, _SUBSET_CHUNK // max(len(masks), 1))
+    for lo in range(0, len(masks), step):
+        block, rows = out[lo : lo + step], packed[lo : lo + step]
+        np.equal(rows[:, :1] & ~packed[:, 0], 0, out=block)
+        for limb in range(1, len(shifts)):
+            block &= (rows[:, limb, None] & ~packed[:, limb]) == 0
 
 
 @dataclass(eq=False)
@@ -149,53 +157,39 @@ def _canonical_atom(family: str, n: int, i: int) -> str:
 
 @lru_cache(maxsize=None)
 def build_family(family: str, n: int) -> FamilyLattice:
-    """Construct one of the lattices A, B or C at size n."""
+    """Construct one of the lattices A, B or C at size n.
+
+    Each is its members' bitmasks under containment plus the adjoined
+    bound: inversion masks for A and B, partial-sum masks for C.
+    """
     if family not in ("A", "B", "C"):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if family == "C":
-        words = composition_words(n)
-        labels = [BOTTOM_LABEL] + [word_label(w) for w in words]
-        covers = []
-        for w in words:
-            if all(not (w[i] == 1 and w[i + 1] == 1) for i in range(len(w) - 1)):
-                covers.append((BOTTOM_LABEL, word_label(w)))
-            for i, c in enumerate(w):
-                if c == 2:
-                    covers.append((word_label(w), word_label(w[:i] + (1, 1) + w[i + 1 :])))
-        poset = FinitePoset.from_covers(labels, covers)
-        lattice = as_lattice(poset)
-        return FamilyLattice("C", n, lattice, BOTTOM_LABEL, (None,) + tuple(words))
-
-    perms = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
-    masks = [inversion_mask(p) for p in perms]
-    core = _mask_leq_matrix(masks, n * (n - 1) // 2)
-    count = len(perms) + 1
-    leq = np.zeros((count, count), dtype=bool)
-    if family == "A":
-        labels = [BOTTOM_LABEL] + [str(p) for p in perms]
-        elements = (None,) + tuple(perms)
-        leq[0, :] = True
-        leq[1:, 1:] = core
+        members, name, mask, nbits = composition_words(n), word_label, _split_mask, n - 1
     else:
-        labels = [str(p) for p in perms] + [TOP_LABEL]
-        elements = tuple(perms) + (None,)
+        members = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
+        name, mask, nbits = str, inversion_mask, n * (n - 1) // 2
+    labels = [name(m) for m in members]
+    leq = np.zeros((len(members) + 1,) * 2, dtype=bool)
+    if family == "B":
         leq[:, -1] = True
-        leq[:-1, :-1] = core
-    del core  # copied into leq; freed before validation, the memory peak
-    np.fill_diagonal(leq, True)
-    lattice = as_lattice(FinitePoset(labels, leq))
-    adjoined = BOTTOM_LABEL if family == "A" else TOP_LABEL
-    return FamilyLattice(family, n, lattice, adjoined, elements)
+        core, labels, elements = leq[:-1, :-1], labels + [TOP_LABEL], tuple(members) + (None,)
+    else:
+        leq[0] = True
+        core, labels, elements = leq[1:, 1:], [BOTTOM_LABEL] + labels, (None,) + tuple(members)
+    _containment_order([mask(m) for m in members], nbits, core)
+    adjoined = TOP_LABEL if family == "B" else BOTTOM_LABEL
+    return FamilyLattice(family, n, as_lattice(FinitePoset(labels, leq)), adjoined, elements)
 
 
 @lru_cache(maxsize=None)
 def weak_order_lattice(n: int) -> BoundedLattice:
     """All of S_n under the weak order, as a lattice."""
     perms = enumerate_avoiders(n, [])
-    masks = [inversion_mask(p) for p in perms]
-    leq = _mask_leq_matrix(masks, n * (n - 1) // 2)
+    leq = np.empty((len(perms), len(perms)), dtype=bool)
+    _containment_order([inversion_mask(p) for p in perms], n * (n - 1) // 2, leq)
     return as_lattice(FinitePoset([str(p) for p in perms], leq))
 
 

@@ -48,14 +48,15 @@ _PAIR_CHUNK = 1 << 12  # comparable pairs gathered at once during validation
 _ENTRY_CHUNK = 1 << 16  # table entries remapped at once
 
 
-def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a strict order packed 64 to a word, and their two-step reach.
+def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Strict-order rows packed 64 to a word, their two-step reach, set sizes.
 
     Row x of `through` is the OR of the packed up-sets of every y with
     x < y, i.e. the boolean square of `strict` without an N^3 product:
     the work follows the number of comparable pairs.  Rows are gathered in
     chunks of whole rows, about _PAIR_CHUNK pairs each, and folded with
-    one `bitwise_or.reduceat` per chunk.
+    one `bitwise_or.reduceat` per chunk.  The sizes are those of the
+    strict up-sets (row counts) and down-sets (gathered columns, counted).
     """
     n = strict.shape[0]
     words = -(-n // 64)
@@ -64,6 +65,7 @@ def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed = packed.view(np.uint64)
     through = np.zeros_like(packed)
     counts = np.count_nonzero(strict, axis=1)
+    below = np.zeros(n, dtype=np.intp)
     ends = np.cumsum(counts)
     lo = 0
     while lo < n:
@@ -74,8 +76,9 @@ def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ys = np.flatnonzero(strict[lo:hi]) % n
             starts = ends[rows] - counts[rows] - base
             through[rows] = np.bitwise_or.reduceat(packed[ys], starts, axis=0)
+            below += np.bincount(ys, minlength=n)
         lo = hi
-    return packed, through
+    return packed, through, counts, below
 
 
 class FinitePoset:
@@ -97,7 +100,7 @@ class FinitePoset:
             raise ValueError("order relation is not reflexive")
         strict = leq.copy()
         np.fill_diagonal(strict, False)
-        packed, through = _packed_through(strict)
+        packed, through, above, below = _packed_through(strict)
         del strict
         # x < y < x puts x in its own two-step reach, and only then; packbits
         # keeps column c in bit 0x80 >> (c % 8) of byte c // 8
@@ -109,11 +112,12 @@ class FinitePoset:
         np.bitwise_not(through, out=through)
         through &= packed
         self._covers_matrix = np.unpackbits(through.view(np.uint8), axis=1, count=n).view(bool)
+        # the sizes of up-sets and down-sets give the bounds and a linear extension
+        self._up_sizes, self._down_sizes = above + 1, below + 1
         self.leq = leq.view()
         self.leq.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._mobius_cols: dict[int, np.ndarray] = {}
-        self._extension: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -180,8 +184,8 @@ class FinitePoset:
         d = copy.copy(self)
         d.leq = self.leq.T
         d._covers_matrix = self._covers_matrix.T
+        d._up_sizes, d._down_sizes = self._down_sizes, self._up_sizes
         d._mobius_cols = {}
-        d._extension = None
         return d
 
     def interval(self, x, z) -> "FinitePoset":
@@ -195,10 +199,8 @@ class FinitePoset:
     # -- Mobius values ------------------------------------------------------
 
     def _linear_extension(self) -> np.ndarray:
-        if self._extension is None:
-            # sorting by down-set size puts every element after all it covers
-            self._extension = np.argsort(self.leq.sum(axis=0), kind="stable")
-        return self._extension
+        # sorting by down-set size puts every element after all it covers
+        return np.argsort(self._down_sizes, kind="stable")
 
     def _mobius_from(self, xi: int) -> np.ndarray:
         """Vector of mu(x, y) over all y, zero where x is not below y."""
@@ -420,8 +422,8 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     extension, checking at every step that the candidate bound is unique.
     """
     n = poset.size
-    bottoms = np.nonzero(poset.leq.sum(axis=1) == n)[0]
-    tops = np.nonzero(poset.leq.sum(axis=0) == n)[0]
+    bottoms = np.nonzero(poset._up_sizes == n)[0]
+    tops = np.nonzero(poset._down_sizes == n)[0]
     if len(bottoms) != 1:
         raise NotALattice("no unique minimum element")
     if len(tops) != 1:

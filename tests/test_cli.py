@@ -1,5 +1,6 @@
 """Command line behaviour: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -312,6 +313,28 @@ def test_unexpected_exception_is_one_line_exit_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL_ERROR == 3
     assert out == ""
     assert err == "mobiuslat: internal error: RuntimeError('injected\\nfault')\n"
+
+
+# -- golden output -----------------------------------------------------------
+
+# Exit code and SHA-256 of stdout for each command: refactors must keep the
+# output byte for byte, and a deliberate change of output records new digests.
+GOLDEN = {
+    "mobius --family C --n 1..10 --format json": (0, "5c0bbf2e4541e80d10dc1dca75c82b83579e4331a48260cd49be9f07a1c12b07"),
+    "mobius --family A --n 1..10": (0, "6edf275ce3e9c709b2a63706c7991f49be32d952848fb3fc7777dd3eccb1379e"),
+    "mobius --family B --n 1..7": (0, "b58b97cfffc9e446dc560ecb58828950eed31cfb91c356de6158f50f08f93ddc"),
+    "nbb-bases --family C --n 8 --format json --predict": (0, "61ba6fba893c069fed024760cf7403817a706f65b7b15cbd19b3df8791f0c18c"),
+    "nbb-bases --family B --n 7 --format json": (0, "784dc096b112e2e6289b2540da8a5a4ac927c639d60fde08cd780bded0bd999a"),
+    "hasse --family C --n 6": (0, "f39cbfd8d7d0bdaea1b7ba853400376cb77a0e78097fa9fd2afd6b01a4ea961c"),
+    "hasse --family B --n 5 --format json": (0, "929706807ca898a91657cedd2750c74b9b0993a4182a96c6d44496d82e2e000f"),
+    "verify --max-n 6 --format json --seed 0": (0, "53de8d699e30d9eed7408e483992e818e54e0e3a6cc62711e296d4748c43d021"),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_cli_bytes_match_golden(capsys, command):
+    code, out, _ = run_capture(capsys, command.split())
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[command]
 
 
 def test_module_entry_point():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mobiuslat.families as families
 from mobiuslat.families import (
@@ -31,7 +33,7 @@ from mobiuslat.families import (
     weak_order_lattice,
     word_label,
 )
-from mobiuslat.families import _has_chained_inversions
+from mobiuslat.families import _containment_order, _has_chained_inversions
 from mobiuslat.permutation import (
     Permutation,
     enumerate_avoiders,
@@ -39,6 +41,7 @@ from mobiuslat.permutation import (
     weak_join,
     weak_leq,
 )
+from mobiuslat.poset import FinitePoset
 
 
 def labels_of(fam):
@@ -120,6 +123,53 @@ def test_family_c4_structure():
     }
     assert sorted(lat.labels[a] for a in lat.atoms()) == ["121", "22"]
     assert sorted(lat.labels[c] for c in lat.coatoms()) == ["112", "121", "211"]
+
+
+def family_c_from_covers(n):
+    """Family C from its definition: the bottom lies under every word with no
+    adjacent 1,1, and splitting one 2 of a word into 1,1 gives a word above it."""
+    words = composition_words(n)
+    covers = []
+    for w in words:
+        if all(w[i : i + 2] != (1, 1) for i in range(len(w) - 1)):
+            covers.append((BOTTOM_LABEL, word_label(w)))
+        for i, part in enumerate(w):
+            if part == 2:
+                covers.append((word_label(w), word_label(w[:i] + (1, 1) + w[i + 1 :])))
+    return FinitePoset.from_covers([BOTTOM_LABEL] + [word_label(w) for w in words], covers)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_family_c_partial_sums_match_the_cover_definition(n):
+    oracle = family_c_from_covers(n)
+    poset = build_family("C", n).lattice.poset
+    assert poset.labels == oracle.labels
+    assert np.array_equal(poset.leq, oracle.leq)
+    assert poset.covers() == oracle.covers()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, families._SUBSET_CHUNK])
+@given(nbits=st.integers(1, 130), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_containment_order_matches_subset_test(chunk, nbits, data):
+    # widths up to 130 bits cross two 64-bit limb boundaries; meets and joins
+    # of neighbouring draws make sure some pairs are contained, and flipping
+    # one bit makes pairs that differ in a single limb
+    drawn = data.draw(st.lists(st.integers(0, (1 << nbits) - 1), min_size=1, max_size=30))
+    bit = data.draw(st.sampled_from([0, nbits - 1, data.draw(st.integers(0, nbits - 1))]))
+    pairs = list(zip(drawn, drawn[1:]))
+    masks = drawn + [a & b for a, b in pairs] + [a | b for a, b in pairs]
+    masks += [a ^ (1 << bit) for a in drawn]
+    k = len(masks)
+    expect = np.array([[a & ~b == 0 for b in masks] for a in masks], dtype=bool)
+    # written into the corner of a larger matrix, as under an adjoined bound
+    border = data.draw(st.booleans())
+    bordered = np.full((k + 1, k + 1), border)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "_SUBSET_CHUNK", chunk)
+        _containment_order(masks, nbits, bordered[1:, 1:])
+    assert np.array_equal(bordered[1:, 1:], expect)
+    assert (bordered[0] == border).all() and (bordered[:, 0] == border).all()
 
 
 def test_family_element_counts():
