@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 from .families import (
@@ -45,6 +47,44 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return value, value
 
 
+def _element_count(family: str, n: int) -> int:
+    """Elements of a family lattice, adjoined bound included, without building it.
+
+    B lists the Catalan-many 321-avoiders; A and C have F_(n+1) members
+    (F_1 = F_2 = 1), the compositions of n into parts 1 and 2.
+    """
+    if family == "B":
+        return math.comb(2 * n, n) // (n + 1) + 1
+    a, b = 1, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a + 1
+
+
+def _dense_bytes(family: str, n: int) -> int:
+    """Bytes of the N x N arrays a family lattice holds at once while built.
+
+    The order matrix, the cover matrix and validation's strict copy take
+    one byte per entry; the meet table two, or four past 32767 elements.
+    """
+    count = _element_count(family, n)
+    return count * count * (3 + (2 if count <= 32767 else 4))
+
+
+def _check_memory(parser, need: int, what: str):
+    """Refuse, before anything is enumerated, a request larger than physical memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):  # no sysconf on this platform: nothing to compare
+        return
+    if need > memory:
+        parser.exit(
+            2,
+            f"mobiuslat: {what} needs about {need / 2**30:.1f} GiB of dense tables, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory; refused\n",
+        )
+
+
 def _check_bounds(parser, family: str, n_hi: int, force: bool):
     bound = DEFAULT_MAX_N[family]
     if n_hi > bound and not force:
@@ -52,6 +92,7 @@ def _check_bounds(parser, family: str, n_hi: int, force: bool):
             f"n={n_hi} exceeds the default bound {bound} for family {family}; "
             "pass --force to spend the time and memory anyway"
         )
+    _check_memory(parser, _dense_bytes(family, n_hi), f"family {family} at n={n_hi}")
 
 
 def cmd_mobius(parser, args) -> int:
@@ -139,6 +180,9 @@ def cmd_verify(parser, args) -> int:
             f"--max-n {args.max_n} exceeds the default bound {DEFAULT_MAX_N['B']}; "
             "pass --force to run anyway"
         )
+    # every family is built, and cached, at every size up to max_n
+    need = sum(_dense_bytes(family, args.max_n) for family in "ABC")
+    _check_memory(parser, need, f"--max-n {args.max_n}")
     claims = verify_all(args.max_n, args.seed)
     ok = all(c.passed for c in claims)
     if args.format == "json":

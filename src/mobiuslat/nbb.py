@@ -76,10 +76,11 @@ def shuffled_order(lattice: BoundedLattice, rng) -> AtomOrder:
 class _Search:
     """Per-order tables for BB tests and the NBB enumeration.
 
-    The join-table column of the atom at each position becomes a list, so
-    extending a join by one atom is one list index; the atoms strictly
-    below each element become one bitmask of positions, a Python int,
-    exact for any number of atoms.
+    The lattice's column of joins with the atom at each position (from
+    `BoundedLattice.atom_join_columns`, built once per lattice from its
+    covers) becomes a list, so extending a join by one atom is one list
+    index; the atoms strictly below each element become one bitmask of
+    positions, a Python int, exact for any number of atoms.
     """
 
     def __init__(self, order: AtomOrder):
@@ -87,7 +88,8 @@ class _Search:
         self.atoms = order.sequence
         atoms = list(self.atoms)
         k = len(atoms)
-        self._with_atom = lattice.join_table[:, atoms].T.tolist()
+        rows = np.searchsorted(lattice.atoms(), atoms)  # atoms() is ascending
+        self._with_atom = lattice.atom_join_columns()[rows].tolist()
         strict = lattice.poset.leq[atoms]
         strict[np.arange(k), atoms] = False
         weights = np.array([1 << p for p in range(k)], dtype=object)

@@ -9,17 +9,27 @@ its cost follows the number of comparable pairs rather than N^3; the
 transitivity check and the covers both read off that reach.
 Mobius values come straight from the defining recurrence (the value at
 (x, z) makes the interval sums telescope to a delta), evaluated bottom-up
-along a linear extension; this module is the oracle the rest of the
-package is measured against.
+along a linear extension over the support of mu(x, .), since zero terms
+add nothing; this module is the oracle the rest of the package is
+measured against.
 
-Lattice promotion computes total meet and join tables; the join table is
-the meet table of the dual.  For an element x with lower covers d_1..d_k,
-any lower bound of {x, y} other than x itself sits under some d_t, so
-meet(x, y) must be the largest of the meet(d_t, y); when no single
-candidate dominates the others the input is not a lattice and the
-offending pair is reported.  The table is built in linear-extension
-coordinates, where the finished elements are a prefix and every access is
-a slice, and then mapped back to element indices in place.
+Lattice promotion computes the total meet table, which is also the lattice
+check: a finite bounded poset in which every pair has a meet is a lattice.
+For an element x with lower covers d_1..d_k, any lower bound of {x, y}
+other than x itself sits under some d_t, so meet(x, y) must be the largest
+of the meet(d_t, y); when no single candidate dominates the others the
+input is not a lattice and the offending pair is reported.  The table is
+built in linear-extension coordinates, where the finished elements are a
+prefix and every access is a slice, and then mapped back to element
+indices in place.
+
+Every other table is lazy.  The join table, the meet table of the dual,
+is built only when asked for, and a lattice shares its tables with its
+dual.  The NBB search needs only the joins x v a with the atoms a, and
+those come from the upper covers, going down a linear extension: x v a
+is x when a <= x, and otherwise the earliest of the c v a over the upper
+covers c of x, because some upper cover c lies below x v a, giving
+c v a = x v a, and every other candidate lies above x v a.
 """
 
 from __future__ import annotations
@@ -203,18 +213,27 @@ class FinitePoset:
         return np.argsort(self._down_sizes, kind="stable")
 
     def _mobius_from(self, xi: int) -> np.ndarray:
-        """Vector of mu(x, y) over all y, zero where x is not below y."""
+        """Vector of mu(x, y) over all y, zero where x is not below y.
+
+        Only the support of mu(x, .) is kept for the sums: the z with
+        mu(x, z) != 0, in extension order, and their values.  The zero terms
+        of the recurrence contribute nothing, so y reads |support| entries
+        of its column instead of all N.
+        """
         col = self._mobius_cols.get(xi)
         if col is None:
-            n = self.size
-            above = self.leq[xi]
-            mu = np.zeros(n, dtype=np.int64)
-            for y in self._linear_extension():
-                if not above[y]:
-                    continue
-                below_y = self.leq[:, y] & above
-                total = int(mu[below_y].sum())
-                mu[y] = (1 if y == xi else 0) - total
+            ext = self._linear_extension()
+            ys = ext[self.leq[xi, ext]].tolist()
+            mu = np.zeros(self.size, dtype=np.int64)
+            support = np.empty(len(ys), dtype=np.intp)
+            vals = np.empty(len(ys), dtype=np.int64)
+            m = 0
+            for y in ys:
+                value = (1 if y == xi else 0) - int(vals[:m][self.leq[support[:m], y]].sum())
+                if value:
+                    mu[y] = vals[m] = value
+                    support[m] = y
+                    m += 1
             col = mu
             col.setflags(write=False)
             self._mobius_cols[xi] = col
@@ -258,13 +277,45 @@ class FinitePoset:
 
 @dataclass(frozen=True)
 class BoundedLattice:
-    """A finite lattice: poset, its bounds, and total meet/join tables."""
+    """A finite lattice: poset, its bounds, and lattice tables built on demand.
+
+    The meet table exists from the start, since it is the lattice check.
+    Every other table is built the first time it is asked for and kept in
+    a store shared with the dual, where each orientation of the order has
+    its own slot: the join table of one is the meet table of the other, so
+    no table is ever built twice.
+    """
 
     poset: FinitePoset
     bottom: int
     top: int
-    meet_table: np.ndarray = field(repr=False)
-    join_table: np.ndarray = field(repr=False)
+    _tables: dict = field(repr=False, compare=False)
+    _side: int = 0  # which orientation of the shared store this lattice reads
+
+    def _table(self, kind: str, side: int, build) -> np.ndarray:
+        table = self._tables.get((kind, side))
+        if table is None:
+            table = self._tables[(kind, side)] = build()
+        return table
+
+    @property
+    def meet_table(self) -> np.ndarray:
+        return self._table("meet", self._side, lambda: _meet_table(self.poset))
+
+    @property
+    def join_table(self) -> np.ndarray:
+        return self._table("meet", 1 - self._side, lambda: _meet_table(self.poset.dual()))
+
+    def atom_join_columns(self) -> np.ndarray:
+        """The k x N array of x v a, one row per atom a in `atoms()` order.
+
+        Built from the upper covers, not from the join table, going down a
+        linear extension.  If a <= x then x v a = x.  Otherwise x v a is the
+        earliest, in the extension, of the c v a over the upper covers c of
+        x: some upper cover c lies below x v a, which gives c v a = x v a,
+        and every other candidate lies above x v a, so later.
+        """
+        return self._table("atom joins", self._side, lambda: _atom_join_columns(self))
 
     @property
     def size(self) -> int:
@@ -311,14 +362,13 @@ class BoundedLattice:
         return self.poset.mobius(self.bottom, self.top)
 
     def dual(self) -> "BoundedLattice":
-        """Reverse the order: bounds swap and meet/join tables swap."""
-        return BoundedLattice(
-            poset=self.poset.dual(),
-            bottom=self.top,
-            top=self.bottom,
-            meet_table=self.join_table,
-            join_table=self.meet_table,
-        )
+        """Reverse the order: bounds swap, and so do meets and joins.
+
+        The dual reads the other slots of the same table store, so it hands
+        over whichever tables exist and builds none.
+        """
+        dual_poset = self.poset.dual()
+        return BoundedLattice(dual_poset, self.top, self.bottom, self._tables, 1 - self._side)
 
     def interval_lattice(self, x, z) -> "BoundedLattice":
         """The interval [x, z] as a lattice in its own right."""
@@ -385,6 +435,30 @@ def _meet_table(poset: FinitePoset) -> np.ndarray:
     return table
 
 
+def _atom_join_columns(lattice: BoundedLattice) -> np.ndarray:
+    """x v a for every element x and atom a; see `atom_join_columns`.
+
+    Built in extension coordinates, where the candidate of least rank is
+    the smallest position, then mapped back to element indices.
+    """
+    poset = lattice.poset
+    n = poset.size
+    ext = poset._linear_extension()
+    pos = np.empty(n, dtype=np.intp)
+    pos[ext] = np.arange(n)
+    upper = _lower_covers(poset.dual())
+    atoms = lattice.atoms()
+    above = poset.leq[np.ix_(atoms, ext)]
+    cols = np.empty((len(atoms), n), dtype=np.intp)
+    for step in range(n - 1, -1, -1):
+        ups = pos[upper[ext[step]]]
+        if len(ups):
+            cols[:, step] = np.where(above[:, step], step, cols[:, ups].min(axis=1))
+        else:  # the top, above every atom
+            cols[:, step] = step
+    return ext[cols[:, pos]]
+
+
 def _unpermute(table: np.ndarray, pos: np.ndarray, ext: np.ndarray) -> None:
     """In place, table[a, b] <- ext[table[pos[a], pos[b]]].
 
@@ -418,8 +492,10 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     """Promote a poset to a lattice, or reject it with a witness.
 
     Requires a unique minimum and maximum; then builds the full meet table
-    (and, as the meet table of the dual, the join table) along a linear
-    extension, checking at every step that the candidate bound is unique.
+    along a linear extension, checking at every step that the candidate
+    bound is unique.  A finite bounded poset in which every pair has a meet
+    is a lattice, so the join table is not needed for the check and is left
+    for `BoundedLattice.join_table` to build on demand.
     """
     n = poset.size
     bottoms = np.nonzero(poset._up_sizes == n)[0]
@@ -429,6 +505,4 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     if len(tops) != 1:
         raise NotALattice("no unique maximum element")
     bottom, top = int(bottoms[0]), int(tops[0])
-    meet = _meet_table(poset)
-    join = _meet_table(poset.dual())
-    return BoundedLattice(poset=poset, bottom=bottom, top=top, meet_table=meet, join_table=join)
+    return BoundedLattice(poset, bottom, top, {("meet", 0): _meet_table(poset)})

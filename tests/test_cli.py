@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import mobiuslat.cli as cli
-from mobiuslat.families import ClaimResult
+import mobiuslat.families as families
+from mobiuslat.families import ClaimResult, build_family
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,6 +73,32 @@ def test_mobius_bound_gate(capsys):
     code, _, err = run_capture(capsys, ["mobius", "--family", "B", "--n", "10"])
     assert code == 2
     assert "--force" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mobius", "--family", "B", "--n", "12", "--force"],
+        ["verify", "--max-n", "12", "--force"],
+    ],
+)
+def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
+    # B at n=12 has 208 013 elements: its dense tables alone are ~280 GiB
+    def unreachable(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(families, "build_family", unreachable)
+    monkeypatch.setattr(cli, "build_family", unreachable)
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "physical memory" in err
+
+
+def test_element_counts_match_the_built_families():
+    for family in ("A", "B", "C"):
+        for n in range(1, 10):
+            assert cli._element_count(family, n) == build_family(family, n).lattice.size
 
 
 def test_mobius_exit_1_on_disagreement(capsys, monkeypatch):
@@ -328,6 +355,8 @@ GOLDEN = {
     "hasse --family C --n 6": (0, "f39cbfd8d7d0bdaea1b7ba853400376cb77a0e78097fa9fd2afd6b01a4ea961c"),
     "hasse --family B --n 5 --format json": (0, "929706807ca898a91657cedd2750c74b9b0993a4182a96c6d44496d82e2e000f"),
     "verify --max-n 6 --format json --seed 0": (0, "53de8d699e30d9eed7408e483992e818e54e0e3a6cc62711e296d4748c43d021"),
+    "mobius --family B --n 8..9": (0, "93beafb9fdb644f816539924938b3dec1a32dd49c607fbef6550fd2acd01b338"),
+    "nbb-bases --family B --n 9 --format json": (0, "fd7174ea19876736e7ddb67c849b96afc62152af1fa01c4b1d583d07aa789e1f"),
 }
 
 

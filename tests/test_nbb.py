@@ -340,6 +340,37 @@ def test_seventy_atoms_stay_exact():
     assert mobius_via_nbb(shuffled_order(lat, random.Random(70))) == 67
 
 
+# -- atom join columns against the join table --------------------------------
+
+
+def assert_atom_columns_match_join_table(lat):
+    # the columns come from the covers; the join table is the oracle
+    for side in (lat, lat.dual()):
+        cols = side.atom_join_columns()
+        assert cols.shape == (len(side.atoms()), side.size)
+        assert np.array_equal(cols, side.join_table[:, side.atoms()].T)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_atom_join_columns_match_join_table_on_families(family):
+    for n in range(1, 9):
+        assert_atom_columns_match_join_table(build_family(family, n).lattice)
+
+
+def test_atom_join_columns_match_join_table_elsewhere():
+    lattices = [
+        m3_lattice(),
+        diamond_lattice(),
+        two_chain(),
+        as_lattice(FinitePoset.from_covers(["x"], [])),
+        partition_lattice(4),
+        weak_order_lattice(4),
+        wide_lattice(70),
+    ]
+    for lat in lattices:
+        assert_atom_columns_match_join_table(lat)
+
+
 def test_finished_search_is_freed_without_cyclic_gc():
     lat = partition_lattice(4)
     order = AtomOrder(lat, tuple(lat.atoms()))

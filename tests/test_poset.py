@@ -290,6 +290,29 @@ def test_mobius_dual_route_large():
         assert int(mu_up[y]) == p.mobius(y, lat.top)
 
 
+def dense_mobius_from(p, xi):
+    """The recurrence over every z in [x, y], one strided column per y."""
+    above = p.leq[xi]
+    mu = np.zeros(p.size, dtype=np.int64)
+    for y in np.argsort(p.leq.sum(axis=0), kind="stable"):
+        if above[y]:
+            mu[y] = (1 if y == xi else 0) - int(mu[p.leq[:, y] & above].sum())
+    return mu
+
+
+@pytest.mark.parametrize("family,n", [("B", 8), ("A", 10), ("C", 12)])
+def test_support_recurrence_matches_dense_oracle(family, n):
+    import random
+
+    lat = build_family(family, n).lattice
+    rng = random.Random(f"{family}{n}")
+    for p in (lat.poset, lat.poset.dual()):
+        fresh = FinitePoset(p.labels, p.leq)  # an empty Mobius cache
+        sources = {lat.bottom, lat.top} | {rng.randrange(p.size) for _ in range(12)}
+        for xi in sorted(sources):
+            assert np.array_equal(fresh._mobius_from(xi), dense_mobius_from(p, xi))
+
+
 def test_mobius_of_dual_is_transpose():
     for p in (diamond(), m3(), cube()):
         assert np.array_equal(p.dual().mobius_matrix(), p.mobius_matrix().T)
@@ -403,6 +426,20 @@ def test_lattice_dual_swaps_structure():
     assert d.join("a", "b") == lat.meet("a", "b")
     assert d.mobius_number() == lat.mobius_number() == 2
     assert sorted(d.atoms()) == sorted(lat.coatoms())
+
+
+def test_join_table_is_built_on_demand_and_shared_with_the_dual():
+    from mobiuslat import families
+
+    families.build_family.cache_clear()
+    families.mobius_summary(9, ("B",))
+    lat = families.build_family("B", 9).lattice
+    # the recurrence and the NBB count ran, and neither needed joins
+    assert ("meet", 1) not in lat._tables
+    assert lat.dual().join_table is lat.meet_table
+    small = as_lattice(cube())
+    assert small.join_table is small.dual().meet_table
+    assert small.dual().dual().join_table is small.join_table
 
 
 def test_shuffled_orders_leave_atoms_sorted():
