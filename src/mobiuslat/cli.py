@@ -20,6 +20,7 @@ import os
 import sys
 
 from .families import (
+    _family_poset,
     build_family,
     mobius_summary,
     predicted_nbb_bases,
@@ -200,11 +201,12 @@ def cmd_hasse(parser, args) -> int:
     if args.n < 1:
         parser.error("n must be positive")
     _check_bounds(parser, args.family, args.n, args.force)
-    fam = build_family(args.family, args.n)
+    # the diagram needs only labels and covers: no lattice tables
+    poset, _, _ = _family_poset(args.family, args.n)
     if args.format == "json":
-        text = _json_dumps(fam.lattice.poset.to_json_dict()) + "\n"
+        text = _json_dumps(poset.to_json_dict()) + "\n"
     else:
-        text = fam.lattice.poset.to_dot()
+        text = poset.to_dot()
     if args.output is None:
         sys.stdout.write(text)
         return 0

@@ -9,6 +9,36 @@ exhaustive bound search in the test suite.
 Pairs (i, j) with 1 <= i < j <= n are also packed into flat bitmasks so
 that subset tests cost one machine operation; lattice builders rely on
 this representation.
+
+Avoiders are enumerated by extending prefixes in lex order.  For the two
+pattern sets of the families the walk visits only live prefixes, those
+that some avoider extends.
+
+321 (family B).  Call w_j a non-maximum when some earlier value exceeds
+it.  In a 321-avoider the non-maxima increase: for non-maxima a before b
+with a > b, the value c > a earlier than a makes c a b a 321.  A
+321-free prefix with running maximum M, whose last non-maximum is t (0 if
+none), is live exactly when every unplaced value exceeds t.  If some
+unplaced u < t, then c t u is a 321 for the c > t before t.  Otherwise
+append the unplaced values in increasing order: each is a maximum or
+exceeds t, so the non-maxima still increase, and a 321 c b a would make
+b and a non-maxima with b > a.  Appending v to a live prefix gives a live
+prefix exactly when v > M (a new maximum, t unchanged) or v is the
+smallest unplaced value s (v becomes the last non-maximum and every value
+still unplaced exceeds it).  An unplaced v < M other than s leaves s < v
+unplaced behind the non-maximum v.  So the walk extends by s, when
+s < M, and by every value above M, and every node it visits is live.
+
+123, 132, 213 (family A).  The anchored checks stay, and two rules drop
+dead prefixes before them, each because every completion holds a pattern.
+Rule 1: a placed x with two larger values y < z still unplaced is
+followed by x y z (a 123) or x z y (a 132).  Rule 2: a placed inversion
+b ... a (b > a) with an unplaced c > b is followed by b a c, a 213.  Both
+only weaken as values are placed, so each is checked on the value just
+appended.  Rule 1 leaves only the two largest unplaced values m' < m as
+candidates.  Appending m creates inversions only with larger placed
+values, above which nothing is unplaced; appending m' inverts it with every
+placed value between m' and m, so rule 2 allows m' exactly when m = m' + 1.
 """
 
 from __future__ import annotations
@@ -294,20 +324,34 @@ def standardize(word) -> Permutation:
 def enumerate_avoiders(n: int, pats) -> list[Permutation]:
     """All permutations of [n] avoiding every given pattern, in lex order.
 
-    Prefix-pruned search: a prefix already containing a pattern cannot be
-    completed to an avoider, and a new occurrence must use the freshly
-    appended position, so only anchored checks run per extension.
+    The pattern sets of families A and B have walks of their own that visit
+    live prefixes only (see the module docstring); any other set goes to
+    the anchored search.
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    pat_words = [p.word for p in pats]
-    out: list[Permutation] = []
+    pat_words = frozenset(p.word for p in pats)
+    walk = _WALKS.get(pat_words)
+    words = _anchored_search(n, pat_words) if walk is None else walk(n)
+    return [Permutation(w) for w in words]
+
+
+def _anchored_search(n: int, pat_words) -> list[tuple[int, ...]]:
+    """Words of [n] avoiding every pattern word, in lex order: the generic search.
+
+    Prefix-pruned: a prefix already containing a pattern cannot be
+    completed to an avoider, and a new occurrence must use the freshly
+    appended position, so only anchored checks run per extension.  It
+    stands behind every pattern set without a walk of its own, and is the
+    oracle the walks are tested against.
+    """
+    out: list[tuple[int, ...]] = []
     word: list[int] = []
     used = [False] * (n + 1)
 
     def grow():
         if len(word) == n:
-            out.append(Permutation(tuple(word)))
+            out.append(tuple(word))
             return
         for v in range(1, n + 1):
             if used[v]:
@@ -321,6 +365,65 @@ def enumerate_avoiders(n: int, pats) -> list[Permutation]:
 
     grow()
     return out
+
+
+def _walk_321(n: int) -> list[tuple[int, ...]]:
+    """Words of the 321-avoiders in lex order; every prefix visited is live.
+
+    The state is the running maximum `top` and the set `free` of unplaced
+    values, whose lowest bit is the smallest unplaced value.  The live
+    extensions are that smallest value, when it lies below `top`, and every
+    value above `top`, all of which are unplaced.
+    """
+    word = [0] * n
+    out: list[tuple[int, ...]] = []
+
+    def grow(j: int, top: int, free: int):
+        if j == n:
+            out.append(tuple(word))
+            return
+        low = (free & -free).bit_length() - 1
+        if low < top:
+            word[j] = low
+            grow(j + 1, top, free ^ (1 << low))
+        for v in range(top + 1, n + 1):
+            word[j] = v
+            grow(j + 1, v, free ^ (1 << v))
+
+    grow(0, 0, ((1 << n) - 1) << 1)
+    return out
+
+
+def _walk_123_132_213(n: int) -> list[tuple[int, ...]]:
+    """Words of the avoiders of 123, 132 and 213: the anchored search, pruned.
+
+    Only the two largest unplaced values are tried (rule 1), the lower one
+    only when no placed value lies between them (rule 2); the anchored
+    checks still run on every extension.
+    """
+    word: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    def grow(free: int):
+        if len(word) == n:
+            out.append(tuple(word))
+            return
+        top = free.bit_length() - 1
+        second = (free ^ (1 << top)).bit_length() - 1
+        for v in (second, top):
+            if v < 1 or (v == second and top > second + 1):
+                continue
+            word.append(v)
+            if not any(_ends_with_pattern(word, pw) for pw in _TRIPLE):
+                grow(free ^ (1 << v))
+            word.pop()
+
+    grow(((1 << n) - 1) << 1)
+    return out
+
+
+_TRIPLE = ((1, 2, 3), (1, 3, 2), (2, 1, 3))
+_WALKS = {frozenset({(3, 2, 1)}): _walk_321, frozenset(_TRIPLE): _walk_123_132_213}
 
 
 def _value_swap(w, k) -> Permutation:

@@ -12,6 +12,7 @@ import pytest
 
 import mobiuslat.cli as cli
 import mobiuslat.families as families
+import mobiuslat.poset as poset_module
 from mobiuslat.families import ClaimResult, build_family
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,6 +232,19 @@ def test_hasse_json(capsys):
     assert ["312", "1̂"] in data["covers"]
 
 
+def test_hasse_builds_no_lattice_table(capsys, monkeypatch):
+    def refuse(poset):
+        raise AssertionError("meet table built")
+
+    monkeypatch.setattr(poset_module, "_meet_table", refuse)
+    # uncached, so a lattice built on the way would reach the patched table
+    monkeypatch.setattr(cli, "build_family", families.build_family.__wrapped__)
+    code, out, _ = run_capture(capsys, ["hasse", "--family", "B", "--n", "6", "--format", "json"])
+    assert code == 0
+    digest = "24bda3e89b0d84469da43c379998f6aa0f5f8dbef1942535df924d04ec38aee5"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_hasse_degenerate(capsys):
     code, out, _ = run_capture(capsys, ["hasse", "--family", "A", "--n", "1"])
     assert code == 0
@@ -357,6 +371,8 @@ GOLDEN = {
     "verify --max-n 6 --format json --seed 0": (0, "53de8d699e30d9eed7408e483992e818e54e0e3a6cc62711e296d4748c43d021"),
     "mobius --family B --n 8..9": (0, "93beafb9fdb644f816539924938b3dec1a32dd49c607fbef6550fd2acd01b338"),
     "nbb-bases --family B --n 9 --format json": (0, "fd7174ea19876736e7ddb67c849b96afc62152af1fa01c4b1d583d07aa789e1f"),
+    "verify --max-n 8 --format json --seed 0": (0, "33dadca5a5f26d4ef58508b73dee7c3f14bae2b3cce73bde7f58f44f1221f932"),
+    "mobius --family A --n 3..10": (0, "ee50c9d9218bc9be01a704dc6c13b9313adf5cb4853169a478849cefb5d4d458"),
 }
 
 

@@ -33,9 +33,10 @@ from mobiuslat.families import (
     weak_order_lattice,
     word_label,
 )
-from mobiuslat.families import _containment_order, _has_chained_inversions
+from mobiuslat.families import _containment_order, _family_poset, _has_chained_inversions
 from mobiuslat.permutation import (
     Permutation,
+    _anchored_search,
     enumerate_avoiders,
     inversion_set,
     weak_join,
@@ -478,3 +479,30 @@ def test_chained_inversion_claim_can_fail(monkeypatch):
     claim = next(c for c in verify_structure(3) if c.id == "chained-inversion-characterization")
     assert not claim.passed
     assert claim.witness == "321: chained inversions disagree with containment"
+
+
+def test_chained_inversion_claim_fails_when_containment_misses_an_avoider(monkeypatch):
+    dropped = (2, 4, 1, 3)
+
+    def short_by_one(n, pat_words):
+        return [w for w in _anchored_search(n, pat_words) if w != dropped]
+
+    monkeypatch.setattr(families, "_anchored_search", short_by_one)
+    claim = next(c for c in verify_structure(4) if c.id == "chained-inversion-characterization")
+    assert not claim.passed
+    assert claim.witness == "2413: chained inversions disagree with containment"
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_family_order_matches_a_build_from_the_generic_search(monkeypatch, family):
+    # the cached lattices are read before the patch, so none is built from it
+    built = {n: build_family(family, n).lattice.poset for n in range(1, 9)}
+
+    def generic(n, pats):
+        return [Permutation(w) for w in _anchored_search(n, [p.word for p in pats])]
+
+    monkeypatch.setattr(families, "enumerate_avoiders", generic)
+    for n, poset in built.items():
+        oracle = _family_poset(family, n)[0]
+        assert poset.labels == oracle.labels
+        assert (poset.leq == oracle.leq).all(), (family, n)

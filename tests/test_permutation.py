@@ -27,7 +27,12 @@ from mobiuslat.permutation import (
     weak_leq,
     weak_meet,
 )
-from mobiuslat.permutation import _ends_with_pattern, _ends_with_pattern_oracle
+from mobiuslat.permutation import (
+    _WALKS,
+    _anchored_search,
+    _ends_with_pattern,
+    _ends_with_pattern_oracle,
+)
 
 P = Permutation
 
@@ -299,3 +304,38 @@ def test_enumerate_avoiders_matches_brute_force_filter(family):
     pats = AVOIDED_PATTERNS[family]
     for n in range(1, 9):
         assert enumerate_avoiders(n, pats) == _brute_avoiders(n, pats)
+
+
+# -- the family walks against the generic anchored search -------------------
+
+WALK_SIZES = {"A": 12, "B": 9}
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_walk_matches_anchored_search(family):
+    pats = AVOIDED_PATTERNS[family]
+    for n in range(1, WALK_SIZES[family] + 1):
+        pat_words = [p.word for p in pats]
+        walked = _WALKS[frozenset(pat_words)](n)
+        assert walked == _anchored_search(n, pat_words), n
+        assert [p.word for p in enumerate_avoiders(n, pats)] == walked
+
+
+def test_enumeration_ignores_pattern_order_and_repeats():
+    a = AVOIDED_PATTERNS["A"]
+    assert enumerate_avoiders(6, a[::-1]) == enumerate_avoiders(6, a)
+    assert enumerate_avoiders(6, [P((3, 2, 1))] * 2) == enumerate_avoiders(6, [P((3, 2, 1))])
+
+
+def test_other_pattern_sets_use_the_anchored_search():
+    for pats in ([], [P((2, 3, 1))], [P((3, 2, 1)), P((1, 2, 3))], AVOIDED_PATTERNS["A"][:2]):
+        for n in range(1, 7):
+            assert frozenset(p.word for p in pats) not in _WALKS
+            words = _anchored_search(n, [p.word for p in pats])
+            assert [p.word for p in enumerate_avoiders(n, pats)] == words
+
+
+def test_enumerate_avoiders_rejects_nonpositive_degree():
+    for pats in ([], AVOIDED_PATTERNS["A"], AVOIDED_PATTERNS["B"]):
+        with pytest.raises(ValueError):
+            enumerate_avoiders(0, pats)
