@@ -99,13 +99,14 @@ def _split_mask(word) -> int:
 _SUBSET_CHUNK = 1 << 18
 
 
-def _containment_order(masks: list[int], nbits: int, out: np.ndarray) -> None:
+def _containment_order(masks: list[int], out: np.ndarray) -> None:
     """Write out[p, q] = (masks[p] is a subset of masks[q]) in place.
 
     `out` is the caller's order matrix, or the slice of it that leaves out
-    an adjoined bound.  Masks of nbits bits are packed into 64-bit limbs.
+    an adjoined bound.  Masks are packed into as many 64-bit limbs as the
+    widest one needs.
     """
-    shifts = range(0, max(nbits, 1), 64)
+    shifts = range(0, max(m.bit_length() for m in masks) or 1, 64)
     packed = np.array([[(m >> s) & 0xFFFFFFFFFFFFFFFF for s in shifts] for m in masks], np.uint64)
     step = max(1, _SUBSET_CHUNK // max(len(masks), 1))
     for lo in range(0, len(masks), step):
@@ -168,10 +169,10 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
     if n < 1:
         raise ValueError("n must be positive")
     if family == "C":
-        members, name, mask, nbits = composition_words(n), word_label, _split_mask, n - 1
+        members, name, mask = composition_words(n), word_label, _split_mask
     else:
         members = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
-        name, mask, nbits = str, inversion_mask, n * (n - 1) // 2
+        name, mask = str, inversion_mask
     labels = [name(m) for m in members]
     leq = np.zeros((len(members) + 1,) * 2, dtype=bool)
     if family == "B":
@@ -180,7 +181,7 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
     else:
         leq[0] = True
         core, labels, elements = leq[1:, 1:], [BOTTOM_LABEL] + labels, (None,) + tuple(members)
-    _containment_order([mask(m) for m in members], nbits, core)
+    _containment_order([mask(m) for m in members], core)
     adjoined = TOP_LABEL if family == "B" else BOTTOM_LABEL
     return FinitePoset(labels, leq), adjoined, elements
 
@@ -197,7 +198,7 @@ def weak_order_lattice(n: int) -> BoundedLattice:
     """All of S_n under the weak order, as a lattice."""
     perms = enumerate_avoiders(n, [])
     leq = np.empty((len(perms), len(perms)), dtype=bool)
-    _containment_order([inversion_mask(p) for p in perms], n * (n - 1) // 2, leq)
+    _containment_order([inversion_mask(p) for p in perms], leq)
     return as_lattice(FinitePoset([str(p) for p in perms], leq))
 
 
@@ -398,7 +399,11 @@ def verify_structure(n: int) -> list[ClaimResult]:
     if n >= 2:
         fam_b = build_family("B", n)
         bad = []
-        for subset in _spread_subsets(n - 1):
+        # a nonempty S in [n-1] with gaps of at least 2 is {1} | (S + 2), a
+        # sparse set of [n+1], less its head: S + 2 starts at 3 or later, so
+        # it never touches the 1, and the shared head keeps the order
+        spread = (tuple(v - 2 for v in x[1:]) for x in sparse_sets(n + 1) if len(x) > 1)
+        for subset in spread:
             swaps = [adjacent_transposition(n, i) for i in subset]
             joined = swaps[0]
             for swap in swaps[1:]:
@@ -476,19 +481,6 @@ def _has_chained_inversions(words: np.ndarray) -> np.ndarray:
         mid = words[:, j : j + 1]
         chained |= (words[:, :j] > mid).any(axis=1) & (words[:, j + 1 :] < mid).any(axis=1)
     return chained
-
-
-def _spread_subsets(bound: int) -> list[tuple[int, ...]]:
-    """Nonempty subsets of [bound] with pairwise gaps of at least 2."""
-    out = []
-
-    def rec(prefix, nxt):
-        for v in range(nxt, bound + 1):
-            out.append(prefix + (v,))
-            rec(prefix + (v,), v + 2)
-
-    rec((), 1)
-    return sorted(out)
 
 
 def isomorphism_claim(n: int) -> ClaimResult:

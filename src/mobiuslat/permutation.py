@@ -1,14 +1,15 @@
 """Permutations in one-line notation under the weak order.
 
 Comparison is by inversion sets: p <= q iff Inv(p) is a subset of Inv(q).
-The join closes the union of two inversion sets under transitive chains;
-the meet keeps a pair (i, j) only when every increasing chain from i to j
-crosses the intersection.  Both constructions are cross-checked against
-exhaustive bound search in the test suite.
-
-Pairs (i, j) with 1 <= i < j <= n are also packed into flat bitmasks so
-that subset tests cost one machine operation; lattice builders rely on
-this representation.
+Pairs (i, j) with 1 <= i < j <= n are packed into flat bitmasks by
+pair_index, so a subset test costs one machine operation; the lattice
+builders and every weak-order operation here use this one format.  Block i
+of a mask, read as row i, holds the pairs (i, j).  The join closes the
+union of two masks under (i, j), (j, k) -> (i, k); the meet is the
+complement of the closure of the pairs outside the intersection.  One
+closure serves both, and one decoder turns rows back into a permutation,
+rejecting rows that are no inversion set.  Both constructions are
+cross-checked against exhaustive bound search in the test suite.
 
 Avoiders are enumerated by extending prefixes in lex order.  For the two
 pattern sets of the families the walk visits only live prefixes, those
@@ -56,7 +57,7 @@ class DuplicateEntries(ValueError):
 
 
 class NotAnInversionSet(ValueError):
-    """Raised when a pair set fails the transitive-closure criterion."""
+    """Raised when a pair set is not the inversion set of any permutation."""
 
 
 @dataclass(frozen=True, order=True)
@@ -162,26 +163,12 @@ def from_inversion_set(n: int, pairs) -> Permutation:
     both closed under composing (i, j), (j, k) into (i, k); anything else
     is rejected.
     """
-    pairs = set(pairs)
+    mask = 0
     for i, j in pairs:
         if not (1 <= i < j <= n):
             raise NotAnInversionSet(f"pair {(i, j)} invalid for degree {n}")
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        ij, jk, ik = (i, j) in pairs, (j, k) in pairs, (i, k) in pairs
-        if ij and jk and not ik:
-            raise NotAnInversionSet(f"{(i, j)} and {(j, k)} present without {(i, k)}")
-        if not ij and not jk and ik:
-            raise NotAnInversionSet(f"{(i, k)} present but {(i, j)}, {(j, k)} absent")
-    # value at i counts the smaller values forced before/after it
-    word = []
-    for i in range(1, n + 1):
-        v = 1
-        v += sum(1 for j in range(i + 1, n + 1) if (i, j) in pairs)
-        v += sum(1 for j in range(1, i) if (j, i) not in pairs)
-        word.append(v)
-    p = Permutation(tuple(word))
-    assert inversion_set(p) == frozenset(pairs)
-    return p
+        mask |= 1 << pair_index(n, i, j)
+    return _from_rows(_rows(n, mask))
 
 
 def weak_leq(p: Permutation, q: Permutation) -> bool:
@@ -190,28 +177,50 @@ def weak_leq(p: Permutation, q: Permutation) -> bool:
     return inversion_mask(p) & ~inversion_mask(q) == 0
 
 
-def _chain_closure(n: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Close a set of increasing pairs under (i,j)+(j,k) -> (i,k)."""
-    closed = set(pairs)
-    # one sweep with the middle vertex outermost closes a DAG relation
-    for j in range(2, n):
-        for i in range(1, j):
-            if (i, j) in closed:
-                for k in range(j + 1, n + 1):
-                    if (j, k) in closed:
-                        closed.add((i, k))
-    return closed
+def _rows(n: int, mask: int) -> list[int]:
+    """Block i of a pair_index mask as row i: bit j-i-1 set for each pair (i, j)."""
+    return [(mask >> pair_index(n, i, i + 1)) & ((1 << (n - i)) - 1) for i in range(1, n + 1)]
+
+
+def _closed(rows: list[int]) -> list[int]:
+    """Close rows under (i, j), (j, k) -> (i, k), from the last row back.
+
+    Bit d-1 of row i is the pair (i, i+d); row i+d, shifted by d and already
+    closed, holds every pair (i, k) that it composes into.
+    """
+    rows = list(rows)
+    for i in range(len(rows) - 2, -1, -1):
+        bits = closed = rows[i]
+        while bits:
+            d = (bits & -bits).bit_length()
+            closed |= rows[i + d] << d
+            bits &= bits - 1
+        rows[i] = closed
+    return rows
+
+
+def _from_rows(rows: list[int]) -> Permutation:
+    """The permutation whose inversion rows these are.
+
+    Row i counts the later positions holding smaller values, a Lehmer code,
+    which names exactly one word; the rows are an inversion set exactly
+    when they are that word's own rows.
+    """
+    free = list(range(1, len(rows) + 1))
+    p = Permutation(tuple(free.pop(row.bit_count()) for row in rows))
+    if _rows(p.n, inversion_mask(p)) != rows:
+        raise NotAnInversionSet("not an inversion set: it or its complement is not transitive")
+    return p
 
 
 def weak_join(p: Permutation, q: Permutation) -> Permutation:
-    """Least upper bound: the chain closure of the union of inversions.
+    """Least upper bound: the closure of the union of inversions.
 
     >>> str(weak_join(Permutation((2, 1, 3)), Permutation((1, 3, 2))))
     '321'
     """
     n = _check_degrees(p, q)
-    union = set(inversion_set(p)) | set(inversion_set(q))
-    return from_inversion_set(n, _chain_closure(n, union))
+    return _from_rows(_closed(_rows(n, inversion_mask(p) | inversion_mask(q))))
 
 
 def weak_meet(p: Permutation, q: Permutation) -> Permutation:
@@ -222,21 +231,9 @@ def weak_meet(p: Permutation, q: Permutation) -> Permutation:
     from i through pairs outside the intersection.
     """
     n = _check_degrees(p, q)
-    common = inversion_set(p) & inversion_set(q)
-    outside = {
-        (i, j)
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if (i, j) not in common
-    }
-    reachable = _chain_closure(n, outside)
-    kept = {
-        (i, j)
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if (i, j) not in reachable
-    }
-    return from_inversion_set(n, kept)
+    full = (1 << n * (n - 1) // 2) - 1
+    reach = _closed(_rows(n, full ^ (inversion_mask(p) & inversion_mask(q))))
+    return _from_rows([w ^ r for w, r in zip(_rows(n, full), reach)])
 
 
 def _ends_with_pattern(word, pat_word) -> bool:

@@ -168,7 +168,7 @@ def test_containment_order_matches_subset_test(chunk, nbits, data):
     bordered = np.full((k + 1, k + 1), border)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "_SUBSET_CHUNK", chunk)
-        _containment_order(masks, nbits, bordered[1:, 1:])
+        _containment_order(masks, bordered[1:, 1:])
     assert np.array_equal(bordered[1:, 1:], expect)
     assert (bordered[0] == border).all() and (bordered[:, 0] == border).all()
 

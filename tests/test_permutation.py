@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuslat.families import AVOIDED_PATTERNS
+from mobiuslat.families import AVOIDED_PATTERNS, weak_order_lattice
 from mobiuslat.permutation import (
     DegreeMismatch,
     DuplicateEntries,
@@ -91,6 +91,25 @@ def test_from_inversion_set_rejects_nonclosed():
         from_inversion_set(3, {(1, 4)})
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_from_inversion_set_accepts_exactly_the_inversion_sets(n):
+    # every subset of the n(n-1)/2 pairs: the n! inversion sets give back
+    # their permutations, and every other subset is refused
+    by_set = {inversion_set(p): p for p in all_perms(n)}
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    accepted = 0
+    for k in range(len(pairs) + 1):
+        for subset in itertools.combinations(pairs, k):
+            want = by_set.get(frozenset(subset))
+            if want is None:
+                with pytest.raises(NotAnInversionSet):
+                    from_inversion_set(n, subset)
+            else:
+                assert from_inversion_set(n, subset) == want
+                accepted += 1
+    assert accepted == len(by_set)
+
+
 def test_inversion_round_trip_exhaustive():
     for n in range(1, 7):
         for p in all_perms(n):
@@ -168,6 +187,19 @@ def test_lattice_laws_property_s5(p, q, r):
     assert weak_meet(p, weak_meet(q, r)) == weak_meet(weak_meet(p, q), r)
     assert weak_join(p, weak_meet(p, q)) == p
     assert weak_meet(p, weak_join(p, q)) == p
+
+
+PERMS6 = all_perms(6)
+
+
+@given(st.integers(0, len(PERMS6) - 1), st.integers(0, len(PERMS6) - 1))
+@settings(max_examples=200, deadline=None)
+def test_join_meet_match_the_s6_lattice_tables(a, b):
+    # the tables come from the dense order of S_6, not from the pair rows
+    lattice = weak_order_lattice(6)
+    p, q = PERMS6[a], PERMS6[b]
+    assert str(weak_join(p, q)) == lattice.labels[lattice.join_table[a, b]]
+    assert str(weak_meet(p, q)) == lattice.labels[lattice.meet_table[a, b]]
 
 
 def test_reverse_is_involution_s5():
