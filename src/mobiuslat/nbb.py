@@ -22,12 +22,33 @@ inside S_m, so join(T) <= join(S_m), and both sets have the earliest
 member m.  An atom before m lying strictly below join(T) lies strictly
 below join(S_m) as well, so S_m is BB.  A grown set therefore costs |D|
 tests rather than one per subset.
+
+The Mobius values need no listing, by a third fact, the prepended-minimum
+lemma.  Write a_m for the atom at position m, and let D have earliest
+member m.  Then D is NBB exactly when D minus m is empty or NBB, and no
+atom before m lies below join(D) = a_m v join(D minus m).  Proof: the
+suffixes of D are D itself and the suffixes of D minus m, so by the
+suffix lemma D is NBB exactly when D is not BB and no suffix of D minus m
+is BB; by the shortcut, D is BB exactly when an atom before m lies below
+join(D).  (No atom before m equals join(D), which lies above a_m, so
+"below" and "strictly below" agree here.)
+
+So let g_m(x) be the sum of (-1)^|D| over the NBB sets D, the empty set
+included, whose members all sit at position m or later and whose join is
+x; for k atoms, g_k is 1 at the bottom and 0 elsewhere.  The sets counted
+by g_m and not by g_{m+1} are those with earliest member m, and by the
+lemma they are the E + m for the sets E counted by g_{m+1} with no atom
+before m strictly below y = a_m v join(E), each of sign opposite to E.  So
+g_m is g_{m+1} plus, for each x, -g_{m+1}(x) added at y = x v a_m when no
+atom before m lies strictly below y.  By the NBB theorem g_0(x) is then
+mu(bottom, x) for every x at once, after k vectorized passes over the
+elements, however many NBB sets there are.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +56,7 @@ from .poset import BoundedLattice
 
 
 class EmptyAtomSet(ValueError):
-    """Raised when a BB or NBB query is made on the empty set."""
+    """Raised when a BB query is made on the empty set."""
 
 
 @dataclass(frozen=True)
@@ -74,13 +95,14 @@ def shuffled_order(lattice: BoundedLattice, rng) -> AtomOrder:
 
 
 class _Search:
-    """Per-order tables for BB tests and the NBB enumeration.
+    """Per-order tables for BB tests, the NBB enumeration and its sum.
 
-    The lattice's column of joins with the atom at each position (from
-    `BoundedLattice.atom_join_columns`, built once per lattice from its
-    covers) becomes a list, so extending a join by one atom is one list
-    index; the atoms strictly below each element become one bitmask of
-    positions, a Python int, exact for any number of atoms.
+    `with_atom[p, x]` is x v a for the atom a at position p, sliced from
+    `BoundedLattice.atom_join_columns` (built once per lattice from its
+    covers), and `first[x]` is the earliest position of an atom strictly
+    below x, or k when there is none; both are numpy arrays.  An atom
+    before position m lies strictly below x exactly when first[x] < m.  The
+    enumeration reads them as lists, converted only when it runs.
     """
 
     def __init__(self, order: AtomOrder):
@@ -89,24 +111,31 @@ class _Search:
         atoms = list(self.atoms)
         k = len(atoms)
         rows = np.searchsorted(lattice.atoms(), atoms)  # atoms() is ascending
-        self._with_atom = lattice.atom_join_columns()[rows].tolist()
+        self.with_atom = lattice.atom_join_columns()[rows]
         strict = lattice.poset.leq[atoms]
         strict[np.arange(k), atoms] = False
-        weights = np.array([1 << p for p in range(k)], dtype=object)
-        self._below = (weights @ strict).tolist()
+        self.first = np.where(strict.any(axis=0), strict.argmax(axis=0), k)
         self._joins: dict[int, int] = {0: lattice.bottom}
+
+    @cached_property
+    def _with_atom_list(self) -> list[list[int]]:
+        return self.with_atom.tolist()
+
+    @cached_property
+    def _first_list(self) -> list[int]:
+        return self.first.tolist()
 
     def join(self, mask: int) -> int:
         """Join of the atoms at the masked positions, cached per mask."""
         v = self._joins.get(mask)
         if v is None:
             low = mask & -mask
-            v = self._with_atom[low.bit_length() - 1][self.join(mask ^ low)]
+            v = self._with_atom_list[low.bit_length() - 1][self.join(mask ^ low)]
             self._joins[mask] = v
         return v
 
     def is_bb(self, mask: int) -> bool:
-        return self._below[self.join(mask)] & ((mask & -mask) - 1) != 0
+        return self._first_list[self.join(mask)] < (mask & -mask).bit_length() - 1
 
     def nbb_sets(self):
         """Yield every NBB position mask, nonempty, by pruned backtracking.
@@ -129,6 +158,26 @@ class _Search:
                 yield from self._grow(grown, p + 1)
 
 
+def _mobius_column(order: AtomOrder) -> np.ndarray:
+    """mu(bottom, x) for every element x, as signed NBB counts, not listed.
+
+    Runs the prepended-minimum recurrence of the module docstring: g holds
+    the signed count of the NBB sets (the empty one included) whose members
+    all sit at position m or later, per join, and each pass prepends the
+    atom at position m to every set g counts.  A pass sends the counts g
+    held before it, so no set takes the same atom twice.
+    """
+    search = _Search(order)
+    g = np.zeros(order.lattice.size, dtype=np.int64)
+    g[order.lattice.bottom] = 1
+    for m in range(len(search.atoms) - 1, -1, -1):
+        x = np.flatnonzero(g)
+        y = search.with_atom[m, x]
+        kept = search.first[y] >= m
+        np.add.at(g, y[kept], -g[x[kept]])
+    return g
+
+
 def _mask_atoms(order: AtomOrder, atoms) -> int:
     positions = {a: p for p, a in enumerate(order.sequence)}
     mask = 0
@@ -145,21 +194,6 @@ def _mask_atoms(order: AtomOrder, atoms) -> int:
 def is_bounded_below(order: AtomOrder, atoms) -> bool:
     """Does every member have an earlier atom below the set's join?"""
     return _Search(order).is_bb(_mask_atoms(order, atoms))
-
-
-def is_nbb(order: AtomOrder, atoms) -> bool:
-    """Does the set contain no bounded-below subset?"""
-    mask = _mask_atoms(order, atoms)
-    search = _Search(order)
-    positions = [p for p in range(mask.bit_length()) if mask >> p & 1]
-    for r in range(1, len(positions) + 1):
-        for combo in itertools.combinations(positions, r):
-            sub = 0
-            for p in combo:
-                sub |= 1 << p
-            if search.is_bb(sub):
-                return False
-    return True
 
 
 def nbb_bases_of(order: AtomOrder, x) -> list[NbbBase]:
@@ -185,9 +219,4 @@ def mobius_via_nbb(order: AtomOrder) -> int:
     lattice = order.lattice
     if lattice.size < 2:
         raise ValueError("lattice must have distinct bounds")
-    search = _Search(order)
-    total = 0
-    for mask in search.nbb_sets():
-        if search.join(mask) == lattice.top:
-            total += -1 if mask.bit_count() % 2 else 1
-    return total
+    return int(_mobius_column(order)[lattice.top])

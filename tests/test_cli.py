@@ -211,6 +211,31 @@ def test_verify_exit_1_on_failure(capsys, monkeypatch):
     assert "0/1 claims pass" in out
 
 
+def test_verify_catches_a_wrong_atom_join(capsys, monkeypatch):
+    # one wrong x v a in B at n=4: the atom 1243 alone now joins to 2143.
+    # The top's signed count stays right under every order the claim
+    # draws, so only the element-by-element comparison can see it
+    lattice = build_family("B", 4).lattice
+    atom, wrong = lattice.poset.index("1243"), lattice.poset.index("2143")
+    true_columns = poset_module.BoundedLattice.atom_join_columns
+
+    def perturbed(self):
+        columns = true_columns(self)
+        if self is lattice:
+            columns = columns.copy()
+            columns[lattice.atoms().index(atom), lattice.bottom] = wrong
+        return columns
+
+    monkeypatch.setattr(poset_module.BoundedLattice, "atom_join_columns", perturbed)
+    claim = families.random_order_claim("B", 4, seed=0)
+    assert not claim.passed
+    assert claim.witness == "canonical order disagrees with the recurrence"
+    assert families.mobius_via_nbb(build_family("B", 4).canonical_order) == lattice.mobius_number()
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "4"])
+    assert code == 1
+    assert "FAIL nbb-order-independence family=B n=4" in out
+
+
 # -- hasse -------------------------------------------------------------------
 
 

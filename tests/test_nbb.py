@@ -17,7 +17,6 @@ from mobiuslat.nbb import (
     EmptyAtomSet,
     NbbBase,
     is_bounded_below,
-    is_nbb,
     mobius_via_nbb,
     nbb_bases_of,
     shuffled_order,
@@ -94,6 +93,16 @@ def raw_is_bb(order, subset):
         if not witnesses:
             return False
     return True
+
+
+def is_nbb(order, atoms):
+    """No nonempty subset is bounded below, by trying every subset."""
+    atoms = list(atoms)
+    return not any(
+        is_bounded_below(order, sub)
+        for r in range(1, len(atoms) + 1)
+        for sub in itertools.combinations(atoms, r)
+    )
 
 
 def raw_nbb_bases(order):
@@ -209,6 +218,28 @@ def signed_count_case(order):
     via_bases = signed(len(b.atoms) for b in nbb_bases_of(order, lat.top))
     via_raw = signed(len(atoms) for atoms, x in raw_nbb_bases(order) if x == lat.top)
     assert mobius_via_nbb(order) == via_bases == via_raw == lat.mobius_number()
+    column_case(order)
+
+
+def listed_column(order):
+    """Signed count of the listed NBB sets per join, the empty set included."""
+    lat = order.lattice
+    col = np.zeros(lat.size, dtype=np.int64)
+    col[lat.bottom] = 1
+    search = nbb_module._Search(order)
+    for mask in search.nbb_sets():
+        col[search.join(mask)] += -1 if mask.bit_count() % 2 else 1
+    return col
+
+
+def column_case(order):
+    # the prepended-minimum sum against the listing and the recurrence
+    lat = order.lattice
+    column = nbb_module._mobius_column(order)
+    assert column.tolist() == listed_column(order).tolist()
+    assert column.tolist() == lat.poset._mobius_from(lat.bottom).tolist()
+    if lat.size > 1:
+        assert mobius_via_nbb(order) == column[lat.top]
 
 
 def test_engine_matches_raw_definition():
@@ -253,13 +284,27 @@ def test_partition_lattice_mobius():
 def test_per_element_mobius_identity():
     # signed base count at x equals mu(bottom, x), element by element;
     # the empty set counts once for the bottom itself
-    for lat in (m3_lattice(), partition_lattice(4), weak_order_lattice(4)):
+    for lat in (m3_lattice(), partition_lattice(4), weak_order_lattice(4), two_chain()):
         order = AtomOrder(lat, tuple(lat.atoms()))
+        column = nbb_module._mobius_column(order)
         for x in range(lat.size):
             signed = sum((-1) ** len(b.atoms) for b in nbb_bases_of(order, x))
             if x == lat.bottom:
                 signed += 1
-            assert signed == lat.poset.mobius(lat.bottom, x)
+            assert signed == lat.poset.mobius(lat.bottom, x) == column[x]
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_mobius_column_on_families(family):
+    # both orientations, the canonical order and two shuffles of each
+    rng = random.Random(f"column:{family}")
+    for n in range(1, 9):
+        fam = build_family(family, n)
+        column_case(fam.canonical_order)
+        for lat in (fam.lattice, fam.lattice.dual()):
+            column_case(AtomOrder(lat, tuple(lat.atoms())))
+            for _ in range(2):
+                column_case(shuffled_order(lat, rng))
 
 
 def test_order_independence_exhaustive():
@@ -338,6 +383,8 @@ def test_seventy_atoms_stay_exact():
     assert bases == [["a67", "a68"], ["a67", "a69"]]
     assert mobius_via_nbb(canonical) == 67
     assert mobius_via_nbb(shuffled_order(lat, random.Random(70))) == 67
+    column_case(canonical)
+    column_case(shuffled_order(lat, random.Random(71)))
 
 
 # -- atom join columns against the join table --------------------------------
