@@ -9,6 +9,12 @@ Exit status 0 means every requested computation agreed, 1 means some
 claim or identity failed, 2 means the request itself was invalid or its
 size was refused, and 3 means the program itself failed: any unexpected
 exception is reported as one line on stderr instead of a traceback.
+
+Sizes past DEFAULT_MAX_N need --force; then a memory estimate, which
+--force does not lift, refuses with exit 2 what cannot fit in physical
+memory before anything is enumerated.  mobius for family B builds no
+lattice, so its estimate is a few hundred bytes per element; every other
+lattice command is estimated by its dense N x N arrays.
 """
 
 from __future__ import annotations
@@ -72,7 +78,12 @@ def _dense_bytes(family: str, n: int) -> int:
     return count * count * (3 + (2 if count <= 32767 else 4))
 
 
-def _check_memory(parser, need: int, what: str):
+# Peak bytes per element of B's table-free mobius: the Permutation, its
+# inversion mask and its packed limbs; measured at 290-380 B for n = 11..13.
+TABLE_FREE_BYTES = 500
+
+
+def _check_memory(parser, need: int, what: str, store: str = "dense tables"):
     """Refuse, before anything is enumerated, a request larger than physical memory."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -81,19 +92,29 @@ def _check_memory(parser, need: int, what: str):
     if need > memory:
         parser.exit(
             2,
-            f"mobiuslat: {what} needs about {need / 2**30:.1f} GiB of dense tables, "
+            f"mobiuslat: {what} needs about {need / 2**30:.1f} GiB of {store}, "
             f"more than the {memory / 2**30:.1f} GiB of physical memory; refused\n",
         )
 
 
-def _check_bounds(parser, family: str, n_hi: int, force: bool):
+def _check_bounds(parser, family: str, n_hi: int, force: bool, table_free: bool = False):
+    """The n gate, which --force lifts, then the memory check, which it does not.
+
+    A table-free request holds a few hundred bytes per element, where a
+    dense one holds its N x N arrays.
+    """
     bound = DEFAULT_MAX_N[family]
     if n_hi > bound and not force:
         parser.error(
             f"n={n_hi} exceeds the default bound {bound} for family {family}; "
             "pass --force to spend the time and memory anyway"
         )
-    _check_memory(parser, _dense_bytes(family, n_hi), f"family {family} at n={n_hi}")
+    what = f"family {family} at n={n_hi}"
+    if table_free:
+        need = _element_count(family, n_hi) * TABLE_FREE_BYTES
+        _check_memory(parser, need, what, "inversion masks")
+    else:
+        _check_memory(parser, _dense_bytes(family, n_hi), what)
 
 
 def cmd_mobius(parser, args) -> int:
@@ -103,7 +124,8 @@ def cmd_mobius(parser, args) -> int:
         parser.error(f"cannot parse --n {args.n!r}")
     if n_lo < 1 or n_hi < n_lo:
         parser.error("n range must be positive and increasing")
-    _check_bounds(parser, args.family, n_hi, args.force)
+    # B's two routes run table-free (see mobius_summary)
+    _check_bounds(parser, args.family, n_hi, args.force, table_free=args.family == "B")
     rows = []
     all_agree = True
     for n in range(n_lo, n_hi + 1):

@@ -43,6 +43,16 @@ g_m is g_{m+1} plus, for each x, -g_{m+1}(x) added at y = x v a_m when no
 atom before m lies strictly below y.  By the NBB theorem g_0(x) is then
 mu(bottom, x) for every x at once, after k vectorized passes over the
 elements, however many NBB sets there are.
+
+The sum reads the lattice through two calls only, made on arrays of
+element ids: with_atom(m, x) = x v a_m, and first(y), the earliest
+position of an atom strictly below y (k when there is none), so that an
+atom before m lies strictly below y exactly when first(y) < m.  A view
+that serves them also names its bottom, its number of element ids so far
+and its atoms in order position.  `_Search` serves them from dense numpy
+slices of a `BoundedLattice`.  A view that builds elements only as the
+passes reach them, such as family B's inversion-mask view, may hand out
+new ids in with_atom, and the column grows to match.
 """
 
 from __future__ import annotations
@@ -97,33 +107,40 @@ def shuffled_order(lattice: BoundedLattice, rng) -> AtomOrder:
 class _Search:
     """Per-order tables for BB tests, the NBB enumeration and its sum.
 
-    `with_atom[p, x]` is x v a for the atom a at position p, sliced from
+    The dense view of the module docstring: row p of `_with_atom` is x v a
+    for the atom a at position p, sliced from
     `BoundedLattice.atom_join_columns` (built once per lattice from its
-    covers), and `first[x]` is the earliest position of an atom strictly
-    below x, or k when there is none; both are numpy arrays.  An atom
-    before position m lies strictly below x exactly when first[x] < m.  The
-    enumeration reads them as lists, converted only when it runs.
+    covers), and `_first[x]` is the earliest position of an atom strictly
+    below x, or k when there is none.  The enumeration reads them as
+    lists, converted only when it runs.
     """
 
     def __init__(self, order: AtomOrder):
         lattice = order.lattice
         self.atoms = order.sequence
+        self.bottom, self.size = lattice.bottom, lattice.size
         atoms = list(self.atoms)
         k = len(atoms)
         rows = np.searchsorted(lattice.atoms(), atoms)  # atoms() is ascending
-        self.with_atom = lattice.atom_join_columns()[rows]
+        self._with_atom = lattice.atom_join_columns()[rows]
         strict = lattice.poset.leq[atoms]
         strict[np.arange(k), atoms] = False
-        self.first = np.where(strict.any(axis=0), strict.argmax(axis=0), k)
+        self._first = np.where(strict.any(axis=0), strict.argmax(axis=0), k)
         self._joins: dict[int, int] = {0: lattice.bottom}
+
+    def with_atom(self, m: int, x: np.ndarray) -> np.ndarray:
+        return self._with_atom[m, x]
+
+    def first(self, y: np.ndarray) -> np.ndarray:
+        return self._first[y]
 
     @cached_property
     def _with_atom_list(self) -> list[list[int]]:
-        return self.with_atom.tolist()
+        return self._with_atom.tolist()
 
     @cached_property
     def _first_list(self) -> list[int]:
-        return self.first.tolist()
+        return self._first.tolist()
 
     def join(self, mask: int) -> int:
         """Join of the atoms at the masked positions, cached per mask."""
@@ -158,22 +175,26 @@ class _Search:
                 yield from self._grow(grown, p + 1)
 
 
-def _mobius_column(order: AtomOrder) -> np.ndarray:
-    """mu(bottom, x) for every element x, as signed NBB counts, not listed.
+def _mobius_column(order) -> np.ndarray:
+    """mu(bottom, x) for every element id x, as signed NBB counts, not listed.
 
-    Runs the prepended-minimum recurrence of the module docstring: g holds
-    the signed count of the NBB sets (the empty one included) whose members
-    all sit at position m or later, per join, and each pass prepends the
-    atom at position m to every set g counts.  A pass sends the counts g
-    held before it, so no set takes the same atom twice.
+    `order` is an AtomOrder, read through its dense `_Search`, or any view
+    with the two calls of the module docstring.  Runs the prepended-minimum
+    recurrence: g holds the signed count of the NBB sets (the empty one
+    included) whose members all sit at position m or later, per join, and
+    each pass prepends the atom at position m to every set g counts.  A
+    pass sends the counts g held before it, so no set takes the same atom
+    twice.
     """
-    search = _Search(order)
-    g = np.zeros(order.lattice.size, dtype=np.int64)
-    g[order.lattice.bottom] = 1
-    for m in range(len(search.atoms) - 1, -1, -1):
+    view = _Search(order) if isinstance(order, AtomOrder) else order
+    g = np.zeros(view.size, dtype=np.int64)
+    g[view.bottom] = 1
+    for m in range(len(view.atoms) - 1, -1, -1):
         x = np.flatnonzero(g)
-        y = search.with_atom[m, x]
-        kept = search.first[y] >= m
+        y = view.with_atom(m, x)
+        kept = view.first(y) >= m
+        if view.size > len(g):  # the view reached new elements
+            g = np.concatenate((g, np.zeros(view.size - len(g), dtype=np.int64)))
         np.add.at(g, y[kept], -g[x[kept]])
     return g
 

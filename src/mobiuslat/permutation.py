@@ -139,14 +139,25 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 
 def inversion_mask(p: Permutation) -> int:
-    """Inversion set packed into an integer bitmask via pair_index."""
+    """Inversion set packed into an integer bitmask via pair_index.
+
+    below[v] marks, as bit j, each position j holding a value smaller than
+    v; row i is its part past i, and rows are laid out back to back.
+    """
     w = p.word
     n = len(w)
-    mask = 0
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if w[i - 1] > w[j - 1]:
-                mask |= 1 << pair_index(n, i, j)
+    pos = [0] * (n + 1)
+    for j, v in enumerate(w):
+        pos[v] = j
+    below = [0] * (n + 1)
+    acc = 0
+    for v in range(1, n + 1):
+        below[v] = acc
+        acc |= 1 << pos[v]
+    mask = shift = 0
+    for i, v in enumerate(w):
+        mask |= (below[v] >> i + 1) << shift
+        shift += n - 1 - i
     return mask
 
 

@@ -14,6 +14,7 @@ import mobiuslat.cli as cli
 import mobiuslat.families as families
 import mobiuslat.poset as poset_module
 from mobiuslat.families import ClaimResult, build_family
+from mobiuslat.permutation import pair_index
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,21 +80,55 @@ def test_mobius_bound_gate(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mobius", "--family", "B", "--n", "12", "--force"],
+        ["mobius", "--family", "B", "--n", "20", "--force"],
         ["verify", "--max-n", "12", "--force"],
     ],
 )
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
-    # B at n=12 has 208 013 elements: its dense tables alone are ~280 GiB
+    # B at n=12 has 208 013 elements, and its dense tables alone are ~280 GiB;
+    # B's table-free mobius at n=20 holds 6.6e9 elements at ~500 B each
     def unreachable(*args):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(families, "build_family", unreachable)
+    monkeypatch.setattr(families, "enumerate_avoiders", unreachable)
     monkeypatch.setattr(cli, "build_family", unreachable)
     code, out, err = run_capture(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "physical memory" in err
+
+
+def test_mobius_b_builds_no_lattice(capsys, monkeypatch):
+    # both of B's routes run table-free: no dense lattice, order or meet table
+    def unreachable(*args):
+        raise AssertionError("dense lattice built")
+
+    monkeypatch.setattr(families, "build_family", unreachable)
+    monkeypatch.setattr(poset_module, "_meet_table", unreachable)
+    monkeypatch.setattr(poset_module.FinitePoset, "__init__", unreachable)
+    code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "8..9"])
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN["mobius --family B --n 8..9"]
+
+
+def test_mobius_b_join_without_the_321_test_is_caught(capsys, monkeypatch):
+    # unions that contain 321 stay in B, so no join ever reaches the top
+    monkeypatch.setattr(families, "_chained", lambda rows: False)
+    assert families._table_free_mobius_b(9) == (1, 0)
+    code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "9"])
+    assert code == 1
+    assert "n=9: recurrence 1, nbb 0," in out and "MISMATCH" in out
+
+
+def test_mobius_b_recurrence_missing_a_support_element_is_caught(capsys, monkeypatch):
+    # leaving s_3 (mu -1) out of the masks drops it from every sum above it;
+    # some atoms leave mu(0, 1) at n=9 unchanged, s_3 moves it from 1 to 2
+    by_rank, s3 = families._mobius_by_rank, 1 << pair_index(9, 3, 4)
+    monkeypatch.setattr(families, "_mobius_by_rank", lambda masks: by_rank([m for m in masks if m != s3]))
+    assert families._table_free_mobius_b(9) == (2, 1)
+    code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "9"])
+    assert code == 1
+    assert "MISMATCH" in out
 
 
 def test_element_counts_match_the_built_families():
@@ -398,6 +433,8 @@ GOLDEN = {
     "nbb-bases --family B --n 9 --format json": (0, "fd7174ea19876736e7ddb67c849b96afc62152af1fa01c4b1d583d07aa789e1f"),
     "verify --max-n 8 --format json --seed 0": (0, "33dadca5a5f26d4ef58508b73dee7c3f14bae2b3cce73bde7f58f44f1221f932"),
     "mobius --family A --n 3..10": (0, "ee50c9d9218bc9be01a704dc6c13b9313adf5cb4853169a478849cefb5d4d458"),
+    # past the dense ceiling: n=10 matches the dense build's line, n=11 has no dense run
+    "mobius --family B --n 10..11 --force": (0, "ab290fca55a9232865b6cb6999a52f64a5a5423df212034e1688e8f1c665336c"),
 }
 
 

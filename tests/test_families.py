@@ -1,6 +1,7 @@
 """The three lattice families, their maps, and the claim suite."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,11 +34,21 @@ from mobiuslat.families import (
     weak_order_lattice,
     word_label,
 )
-from mobiuslat.families import _containment_order, _family_poset, _has_chained_inversions
+from mobiuslat.families import (
+    _containment_order,
+    _family_poset,
+    _has_chained_inversions,
+    _join_swap,
+    _mobius_by_rank,
+    _mobius_identity_claim,
+)
 from mobiuslat.permutation import (
     Permutation,
     _anchored_search,
+    _from_rows,
+    _rows,
     enumerate_avoiders,
+    inversion_mask,
     inversion_set,
     weak_join,
     weak_leq,
@@ -428,6 +439,17 @@ def test_mobius_summary_family_subset():
     assert row["oracle"]["B"] == -1
 
 
+def test_mobius_identity_compares_b_with_the_dense_recurrence(monkeypatch):
+    # every route and closed form agrees; only the dense oracle for B is off
+    summary = mobius_summary(5)
+    dense_b = SimpleNamespace(lattice=SimpleNamespace(mobius_number=lambda: 7))
+    monkeypatch.setattr(families, "mobius_summary", lambda n: summary)
+    monkeypatch.setattr(families, "build_family", lambda family, n: dense_b)
+    claim = _mobius_identity_claim(5)
+    assert summary["agree"] and not claim.passed
+    assert claim.witness == f"{summary}; dense recurrence for B: 7"
+
+
 def test_random_order_claims_pass():
     for family in "ABC":
         for n in range(1, 6):
@@ -506,3 +528,42 @@ def test_family_order_matches_a_build_from_the_generic_search(monkeypatch, famil
         oracle = _family_poset(family, n)[0]
         assert poset.labels == oracle.labels
         assert (poset.leq == oracle.leq).all(), (family, n)
+
+
+# -- B without N x N arrays --------------------------------------------------
+
+
+def mask_label(n, mask):
+    return TOP_LABEL if mask is None else str(_from_rows(_rows(n, mask)))
+
+
+def test_mask_joins_match_atom_join_columns():
+    # x v s_i on inversion masks, at every element and atom of the dense lattice
+    for n in range(1, 9):
+        fam = build_family("B", n)
+        lattice = fam.lattice
+        cols = lattice.atom_join_columns()
+        masks = [None if p is None else inversion_mask(p) for p in fam.elements]
+        for row, atom in enumerate(lattice.atoms()):
+            word = fam.elements[atom]
+            i = None if word is None else next(d for d in range(1, n) if word(d) > word(d + 1))
+            for x, mask in enumerate(masks):
+                assert mask_label(n, _join_swap(n, mask, i)) == lattice.labels[cols[row, x]], (n, i, x)
+
+
+def test_mask_recurrence_matches_the_dense_recurrence():
+    for n in range(1, 10):
+        lattice = build_family("B", n).lattice
+        masks = [inversion_mask(p) for p in enumerate_avoiders(n, AVOIDED_PATTERNS["B"])]
+        column = _mobius_by_rank(masks)
+        assert column.tolist() == lattice.poset._mobius_from(lattice.bottom).tolist(), n
+
+
+def test_mask_recurrence_on_small_orders():
+    # 0 < 1 < 3 < 7 < top: mu is 1, -1, 0, 0, 0; {0, 1, 2, 4} + top: 1, -1, -1, -1, 2
+    assert _mobius_by_rank([0, 1, 3, 7]).tolist() == [1, -1, 0, 0, 0]
+    assert _mobius_by_rank([4, 0, 2, 1]).tolist() == [-1, 1, -1, -1, 2]
+    # a square whose second atom sits past the first 64-bit limb, and 3,
+    # which holds the first atom but not the second
+    wide = 1 << 70
+    assert _mobius_by_rank([wide | 1, wide, 0, 1, 3]).tolist() == [1, -1, 1, -1, 0, 0]

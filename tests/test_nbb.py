@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobiuslat.nbb as nbb_module
-from mobiuslat.families import build_family, weak_order_lattice
+from mobiuslat.families import _MaskView, build_family, weak_order_lattice
 from mobiuslat.nbb import (
     AtomOrder,
     EmptyAtomSet,
@@ -21,6 +21,7 @@ from mobiuslat.nbb import (
     nbb_bases_of,
     shuffled_order,
 )
+from mobiuslat.permutation import _from_rows, _rows
 from mobiuslat.poset import FinitePoset, as_lattice
 
 
@@ -305,6 +306,30 @@ def test_mobius_column_on_families(family):
             column_case(AtomOrder(lat, tuple(lat.atoms())))
             for _ in range(2):
                 column_case(shuffled_order(lat, rng))
+
+
+def mask_view_column(fam, order):
+    """The mask view's column under a dense order of B's atoms, moved to dense indices."""
+    lattice, n = fam.lattice, fam.n
+    swaps = [fam.elements[a] for a in order.sequence]
+    sequence = [next(i for i in range(1, n) if w(i) > w(i + 1)) for w in swaps if w is not None]
+    view = _MaskView(n, sequence)
+    column = nbb_module._mobius_column(view)
+    out = np.zeros(lattice.size, dtype=np.int64)
+    for i, mask in enumerate(view.masks):
+        out[lattice.top if mask is None else lattice.poset.index(str(_from_rows(_rows(n, mask))))] = column[i]
+    return out
+
+
+def test_mask_view_column_matches_the_dense_column():
+    # family B without N x N arrays: canonical order and three shuffles per size
+    rng = random.Random("mask view")
+    for n in range(1, 10):
+        fam = build_family("B", n)
+        orders = [fam.canonical_order] + [shuffled_order(fam.lattice, rng) for _ in range(3)]
+        for order in orders:
+            dense = nbb_module._mobius_column(order)
+            assert mask_view_column(fam, order).tolist() == dense.tolist(), (n, order.sequence)
 
 
 def test_order_independence_exhaustive():
