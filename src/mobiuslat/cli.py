@@ -92,9 +92,18 @@ def _check_memory(parser, need: int, what: str, store: str = "dense tables"):
     if need > memory:
         parser.exit(
             2,
-            f"mobiuslat: {what} needs about {need / 2**30:.1f} GiB of {store}, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory; refused\n",
+            f"mobiuslat: {what} needs about {_gib(need)} GiB of {store}, "
+            f"more than the {_gib(memory)} GiB of physical memory; refused\n",
         )
+
+
+def _gib(nbytes: int) -> str:
+    """nbytes in GiB, to one decimal, or in scientific notation from a million GiB."""
+    if nbytes < 10**6 * 2**30:
+        return f"{nbytes / 2**30:.1f}"
+    import decimal  # here, not at the top: its import costs every command ~0.3 MB
+
+    return f"{decimal.Context(Emax=decimal.MAX_EMAX).divide(nbytes, 2**30):.1e}"
 
 
 def _check_bounds(parser, family: str, n_hi: int, force: bool, table_free: bool = False):

@@ -113,6 +113,17 @@ def _pack(masks: list[int]) -> np.ndarray:
     return packed
 
 
+def _subsets(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[i, j] = (row i of a is a subset of row j of b), for masks packed alike.
+
+    Written into `out` when it is given, else into a new array.
+    """
+    out = np.equal(a[:, :1] & ~b[:, 0], 0, out=out)
+    for limb in range(1, a.shape[1]):
+        out &= (a[:, limb, None] & ~b[:, limb]) == 0
+    return out
+
+
 def _containment_order(masks: list[int], out: np.ndarray) -> None:
     """Write out[p, q] = (masks[p] is a subset of masks[q]) in place.
 
@@ -122,10 +133,7 @@ def _containment_order(masks: list[int], out: np.ndarray) -> None:
     packed = _pack(masks)
     step = max(1, _SUBSET_CHUNK // max(len(masks), 1))
     for lo in range(0, len(masks), step):
-        block, rows = out[lo : lo + step], packed[lo : lo + step]
-        np.equal(rows[:, :1] & ~packed[:, 0], 0, out=block)
-        for limb in range(1, packed.shape[1]):
-            block &= (rows[:, limb, None] & ~packed[:, limb]) == 0
+        _subsets(packed[lo : lo + step], packed, out=out[lo : lo + step])
 
 
 def _mobius_by_rank(masks: list[int]) -> np.ndarray:
@@ -147,11 +155,7 @@ def _mobius_by_rank(masks: list[int]) -> np.ndarray:
         step = max(1, _SUBSET_CHUNK // max(len(support), 1))
         for lo in range(0, len(level), step):
             xs = level[lo : lo + step]
-            rows = packed[xs]
-            inside = (support[:, None, 0] & ~rows[:, 0]) == 0
-            for limb in range(1, packed.shape[1]):
-                inside &= (support[:, None, limb] & ~rows[:, limb]) == 0
-            mu[xs] = (counts[xs] == 0) - values @ inside
+            mu[xs] = (counts[xs] == 0) - values @ _subsets(support, packed[xs])
         kept = level[mu[level] != 0]
         support = np.concatenate((support, packed[kept]))
         values = np.concatenate((values, mu[kept]))

@@ -15,23 +15,22 @@ can accept no other witness, so D is BB exactly when some atom before
 min(D) lies below join(D).  The test suite re-checks this against the raw
 per-member definition by exhaustive enumeration.
 
-The enumeration rests on a second fact, the suffix lemma: a set D has a
-BB subset exactly when one of its suffixes S_m = {q in D : q >= m}, for m
-in D, is BB.  Proof: let T be a BB subset of D and m = min(T).  Then T is
-inside S_m, so join(T) <= join(S_m), and both sets have the earliest
-member m.  An atom before m lying strictly below join(T) lies strictly
-below join(S_m) as well, so S_m is BB.  A grown set therefore costs |D|
-tests rather than one per subset.
+A second fact, the suffix lemma, is a step toward the third: a set D has
+a BB subset exactly when one of its suffixes S_m = {q in D : q >= m},
+for m in D, is BB.  Proof: let T be a BB subset of D and m = min(T).  Then
+T is inside S_m, so join(T) <= join(S_m), and both sets have the
+earliest member m.  An atom before m lying strictly below join(T) lies
+strictly below join(S_m) as well, so S_m is BB.
 
-The Mobius values need no listing, by a third fact, the prepended-minimum
-lemma.  Write a_m for the atom at position m, and let D have earliest
-member m.  Then D is NBB exactly when D minus m is empty or NBB, and no
-atom before m lies below join(D) = a_m v join(D minus m).  Proof: the
-suffixes of D are D itself and the suffixes of D minus m, so by the
-suffix lemma D is NBB exactly when D is not BB and no suffix of D minus m
-is BB; by the shortcut, D is BB exactly when an atom before m lies below
-join(D).  (No atom before m equals join(D), which lies above a_m, so
-"below" and "strictly below" agree here.)
+The passes below rest on the third fact, the prepended-minimum lemma.
+Write a_m for the atom at position m, and let D have earliest member m.
+Then D is NBB exactly when D minus m is empty or NBB, and no atom before
+m lies below join(D) = a_m v join(D minus m).  Proof: the suffixes of D
+are D itself and the suffixes of D minus m, so by the suffix lemma D is
+NBB exactly when D is not BB and no suffix of D minus m is BB; by the
+shortcut, D is BB exactly when an atom before m lies below join(D).  (No
+atom before m equals join(D), which lies above a_m, so "below" and
+"strictly below" agree here.)
 
 So let g_m(x) be the sum of (-1)^|D| over the NBB sets D, the empty set
 included, whose members all sit at position m or later and whose join is
@@ -42,9 +41,11 @@ before m strictly below y = a_m v join(E), each of sign opposite to E.  So
 g_m is g_{m+1} plus, for each x, -g_{m+1}(x) added at y = x v a_m when no
 atom before m lies strictly below y.  By the NBB theorem g_0(x) is then
 mu(bottom, x) for every x at once, after k vectorized passes over the
-elements, however many NBB sets there are.
+elements, however many NBB sets there are.  The listing runs the same
+passes with each element carrying its NBB sets in place of their signed
+count.
 
-The sum reads the lattice through two calls only, made on arrays of
+Both read the lattice through two calls only, made on arrays of
 element ids: with_atom(m, x) = x v a_m, and first(y), the earliest
 position of an atom strictly below y (k when there is none), so that an
 atom before m lies strictly below y exactly when first(y) < m.  A view
@@ -58,7 +59,6 @@ new ids in with_atom, and the column grows to match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -105,14 +105,13 @@ def shuffled_order(lattice: BoundedLattice, rng) -> AtomOrder:
 
 
 class _Search:
-    """Per-order tables for BB tests, the NBB enumeration and its sum.
+    """The dense view of the module docstring, for one atom order.
 
-    The dense view of the module docstring: row p of `_with_atom` is x v a
-    for the atom a at position p, sliced from
+    The BB test, the listing and the sum all read it.  Row p of
+    `_with_atom` is x v a for the atom a at position p, sliced from
     `BoundedLattice.atom_join_columns` (built once per lattice from its
     covers), and `_first[x]` is the earliest position of an atom strictly
-    below x, or k when there is none.  The enumeration reads them as
-    lists, converted only when it runs.
+    below x, or k when there is none.
     """
 
     def __init__(self, order: AtomOrder):
@@ -126,7 +125,6 @@ class _Search:
         strict = lattice.poset.leq[atoms]
         strict[np.arange(k), atoms] = False
         self._first = np.where(strict.any(axis=0), strict.argmax(axis=0), k)
-        self._joins: dict[int, int] = {0: lattice.bottom}
 
     def with_atom(self, m: int, x: np.ndarray) -> np.ndarray:
         return self._with_atom[m, x]
@@ -134,45 +132,12 @@ class _Search:
     def first(self, y: np.ndarray) -> np.ndarray:
         return self._first[y]
 
-    @cached_property
-    def _with_atom_list(self) -> list[list[int]]:
-        return self._with_atom.tolist()
 
-    @cached_property
-    def _first_list(self) -> list[int]:
-        return self._first.tolist()
-
-    def join(self, mask: int) -> int:
-        """Join of the atoms at the masked positions, cached per mask."""
-        v = self._joins.get(mask)
-        if v is None:
-            low = mask & -mask
-            v = self._with_atom_list[low.bit_length() - 1][self.join(mask ^ low)]
-            self._joins[mask] = v
-        return v
-
-    def is_bb(self, mask: int) -> bool:
-        return self._first_list[self.join(mask)] < (mask & -mask).bit_length() - 1
-
-    def nbb_sets(self):
-        """Yield every NBB position mask, nonempty, by pruned backtracking.
-
-        Sets are grown in order position and extended only while NBB, as
-        every subset of an NBB set is NBB.  By the suffix lemma in the
-        module docstring a grown set D is NBB exactly when none of its |D|
-        suffixes is BB, so only those are checked, dropping the earliest
-        member each time, before descending.
-        """
-        return self._grow(0, 0)
-
-    def _grow(self, mask: int, start: int):
-        for p in range(start, len(self.atoms)):
-            grown = rest = mask | 1 << p
-            while rest and not self.is_bb(rest):
-                rest &= rest - 1
-            if not rest:
-                yield grown
-                yield from self._grow(grown, p + 1)
+def _prepend(view, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x whose sets stay NBB with the atom at position m prepended, and their joins."""
+    y = view.with_atom(m, x)
+    kept = view.first(y) >= m
+    return x[kept], y[kept]
 
 
 def _mobius_column(order) -> np.ndarray:
@@ -190,45 +155,59 @@ def _mobius_column(order) -> np.ndarray:
     g = np.zeros(view.size, dtype=np.int64)
     g[view.bottom] = 1
     for m in range(len(view.atoms) - 1, -1, -1):
-        x = np.flatnonzero(g)
-        y = view.with_atom(m, x)
-        kept = view.first(y) >= m
+        x, y = _prepend(view, m, np.flatnonzero(g))
         if view.size > len(g):  # the view reached new elements
             g = np.concatenate((g, np.zeros(view.size - len(g), dtype=np.int64)))
-        np.add.at(g, y[kept], -g[x[kept]])
+        np.add.at(g, y, -g[x])
     return g
 
 
-def _mask_atoms(order: AtomOrder, atoms) -> int:
-    positions = {a: p for p, a in enumerate(order.sequence)}
-    mask = 0
+def _positions(order: AtomOrder, atoms) -> list[int]:
+    """Order positions of a nonempty atom set, ascending."""
+    position_of = {a: p for p, a in enumerate(order.sequence)}
+    found = set()
     for a in atoms:
         a = order.lattice._as_index(a)
-        if a not in positions:
+        if a not in position_of:
             raise ValueError(f"{order.lattice.labels[a]!r} is not an atom")
-        mask |= 1 << positions[a]
-    if mask == 0:
+        found.add(position_of[a])
+    if not found:
         raise EmptyAtomSet("atom set must be nonempty")
-    return mask
+    return sorted(found)
 
 
 def is_bounded_below(order: AtomOrder, atoms) -> bool:
     """Does every member have an earlier atom below the set's join?"""
-    return _Search(order).is_bb(_mask_atoms(order, atoms))
+    positions = _positions(order, atoms)
+    view = _Search(order)
+    join = view.bottom
+    for p in positions:
+        join = view.with_atom(p, join)
+    return bool(view.first(join) < positions[0])
 
 
 def nbb_bases_of(order: AtomOrder, x) -> list[NbbBase]:
-    """All NBB sets joining to x, atoms listed in order position."""
-    xi = order.lattice._as_index(x)
-    search = _Search(order)
-    return [
-        NbbBase(
-            atoms=tuple(search.atoms[p] for p in range(mask.bit_length()) if mask >> p & 1),
-            joins_to=search.join(mask),
-        )
-        for mask in search.nbb_sets()
-        if search.join(mask) == xi
-    ]
+    """All NBB sets joining to x, atoms listed in order position.
+
+    Runs the passes of `_mobius_column` with each element carrying the
+    position tuples of its NBB sets, the empty one at the bottom, in place
+    of their signed count; a pass puts m in front of every tuple it
+    extends.  No list a pass extends held a set before it: a set of later
+    atoms joining to y, which lies above a_m, would have that earlier atom
+    strictly below its join and so be BB.  So a pass never reads a list it
+    has extended, and no set takes the same atom twice.  The sets come
+    sorted by their tuples, as a depth-first search by position finds
+    them: {0}, {0, 1}, {0, 1, 2}, {0, 2}, {1}, and so on.
+    """
+    target = order.lattice._as_index(x)
+    view = _Search(order)
+    sets = {view.bottom: [()]}
+    for m in range(len(view.atoms) - 1, -1, -1):
+        xs, ys = _prepend(view, m, np.fromiter(sets, dtype=np.intp, count=len(sets)))
+        for u, y in zip(xs.tolist(), ys.tolist()):
+            sets.setdefault(y, []).extend([(m, *ps) for ps in sets[u]])
+    ranked = sorted(sets.get(target, ()))
+    return [NbbBase(tuple(view.atoms[p] for p in ps), target) for ps in ranked if ps]
 
 
 def mobius_via_nbb(order: AtomOrder) -> int:

@@ -82,11 +82,14 @@ def test_mobius_bound_gate(capsys):
     [
         ["mobius", "--family", "B", "--n", "20", "--force"],
         ["verify", "--max-n", "12", "--force"],
+        ["mobius", "--family", "B", "--n", "600", "--force"],
+        ["nbb-bases", "--family", "B", "--n", "300", "--force"],
     ],
 )
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     # B at n=12 has 208 013 elements, and its dense tables alone are ~280 GiB;
-    # B's table-free mobius at n=20 holds 6.6e9 elements at ~500 B each
+    # B's table-free mobius at n=20 holds 6.6e9 elements at ~500 B each;
+    # at n=600 (masks) and n=300 (dense) no float holds the byte count
     def unreachable(*args):
         raise AssertionError("enumeration started")
 
@@ -97,6 +100,12 @@ def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "physical memory" in err
+
+
+def test_memory_figures():
+    assert cli._gib(282 * 2**30 + 2**29) == "282.5"
+    assert cli._gib(10**6 * 2**30) == "1.0e+6"
+    assert cli._gib(10**400) == "9.3e+390"
 
 
 def test_mobius_b_builds_no_lattice(capsys, monkeypatch):
@@ -433,6 +442,8 @@ GOLDEN = {
     "nbb-bases --family B --n 9 --format json": (0, "fd7174ea19876736e7ddb67c849b96afc62152af1fa01c4b1d583d07aa789e1f"),
     "verify --max-n 8 --format json --seed 0": (0, "33dadca5a5f26d4ef58508b73dee7c3f14bae2b3cce73bde7f58f44f1221f932"),
     "mobius --family A --n 3..10": (0, "ee50c9d9218bc9be01a704dc6c13b9313adf5cb4853169a478849cefb5d4d458"),
+    "nbb-bases --family A --n 10": (0, "ee727668687a7977796e029af5ec973183bd4153e88165f9709a928972b715ab"),
+    "nbb-bases --family C --n 10 --predict": (0, "61b8c8804a1648eb75fa4a3fbfc6febdf20d274faa5062c78e52b5696725846c"),
     # past the dense ceiling: n=10 matches the dense build's line, n=11 has no dense run
     "mobius --family B --n 10..11 --force": (0, "ab290fca55a9232865b6cb6999a52f64a5a5423df212034e1688e8f1c665336c"),
 }

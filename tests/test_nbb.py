@@ -1,9 +1,7 @@
 """NBB atom sets and Mobius numbers, checked against the raw definition."""
 
-import gc
 import itertools
 import random
-import weakref
 
 import numpy as np
 import pytest
@@ -176,6 +174,20 @@ def test_nbb_base_atom_listing_respects_order():
         assert positions == sorted(positions)
 
 
+def test_listing_comes_in_preorder_by_position():
+    # the order a depth-first search growing sets by position finds them in
+    lat = partition_lattice(4)
+    order = shuffled_order(lat, random.Random(4))
+    labels = [lat.labels[a] for a in order.sequence]
+    assert labels == ["1|23|4", "1|2|34", "1|24|3", "12|3|4", "14|2|3", "13|2|4"]
+    top = [[order.position(a) for a in b.atoms] for b in nbb_bases_of(order, "1234")]
+    assert top == [[0, 1, 3], [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 2, 5]]
+    assert [[order.position(a) for a in b.atoms] for b in nbb_bases_of(order, "1|234")] == [[0, 1], [0, 2]]
+    for x in range(lat.size):
+        listed = [tuple(order.position(a) for a in b.atoms) for b in nbb_bases_of(order, x)]
+        assert listed == sorted(listed)
+
+
 def test_two_chain():
     lat = two_chain()
     order = AtomOrder(lat, tuple(lat.atoms()))
@@ -227,9 +239,8 @@ def listed_column(order):
     lat = order.lattice
     col = np.zeros(lat.size, dtype=np.int64)
     col[lat.bottom] = 1
-    search = nbb_module._Search(order)
-    for mask in search.nbb_sets():
-        col[search.join(mask)] += -1 if mask.bit_count() % 2 else 1
+    for x in range(lat.size):
+        col[x] += signed(len(b.atoms) for b in nbb_bases_of(order, x))
     return col
 
 
@@ -401,9 +412,10 @@ def test_seventy_atoms_stay_exact():
     assert lat.mobius_number() == 67
     canonical = AtomOrder(lat, tuple(lat.atoms()))
     # 70 singletons, the 69 pairs and 2 triples holding a0, and 2 pairs
-    # below e; capped, so a search that fails to prune stops here
-    found = list(itertools.islice(nbb_module._Search(canonical).nbb_sets(), 144))
+    # below e
+    found = [b.atoms for x in range(lat.size) for b in nbb_bases_of(canonical, x)]
     assert len(found) == 143
+    assert all(is_nbb(canonical, atoms) for atoms in found)
     bases = [[lat.labels[a] for a in b.atoms] for b in nbb_bases_of(canonical, e)]
     assert bases == [["a67", "a68"], ["a67", "a69"]]
     assert mobius_via_nbb(canonical) == 67
@@ -441,21 +453,3 @@ def test_atom_join_columns_match_join_table_elsewhere():
     ]
     for lat in lattices:
         assert_atom_columns_match_join_table(lat)
-
-
-def test_finished_search_is_freed_without_cyclic_gc():
-    lat = partition_lattice(4)
-    order = AtomOrder(lat, tuple(lat.atoms()))
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        search = nbb_module._Search(order)
-        ref = weakref.ref(search)
-        sets = search.nbb_sets()
-        del search
-        assert len(list(sets)) > 0
-        del sets
-        assert ref() is None
-    finally:
-        if enabled:
-            gc.enable()
