@@ -26,7 +26,6 @@ view that joins masks as the passes reach them (`_MaskView`).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -41,11 +40,9 @@ from .permutation import (
     contains_pattern,
     enumerate_avoiders,
     inversion_mask,
-    lower_covers,
-    upper_covers,
     weak_join,
 )
-from .permutation import _anchored_search, _rows, pair_index
+from .permutation import _rows, pair_index
 from .poset import BoundedLattice, FinitePoset, as_lattice
 
 BOTTOM_LABEL = "0̂"
@@ -469,29 +466,63 @@ def _claim(id: str, family: str, n: int, failures: list[str]) -> ClaimResult:
     return ClaimResult(id, family, n, not failures, failures[0] if failures else None)
 
 
+def _cover_words(words: np.ndarray, upward: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper (or lower) covers of each row of an (M, n) array of words.
+
+    A cover swaps the values k and k+1, where k precedes k+1 (upper) or
+    follows it (lower).  Returns the covers as one int8 array, grouped by
+    k, with the row and the k each came from.
+    """
+    where = np.argsort(words, axis=1)  # where[:, v - 1] is the position of v
+    covers = [np.empty((0, words.shape[1]), dtype=np.int8)]
+    rows, ks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for k in range(1, words.shape[1]):
+        hit = np.flatnonzero((where[:, k - 1] < where[:, k]) == upward)
+        w = words[hit]
+        covers.append(w + (w == k) - (w == k + 1))
+        rows.append(hit)
+        ks.append(np.full(len(hit), k))
+    return np.concatenate(covers), np.concatenate(rows), np.concatenate(ks)
+
+
+def _closure_failures(members, patterns, upward: bool) -> list[str]:
+    """Upper (or lower) covers of the members that contain one of the patterns.
+
+    One line per such cover, in member order and, per member, by the k of
+    the swapped values k, k+1: the order in which `upper_covers` and
+    `lower_covers` list them.
+    """
+    covers, rows, ks = _cover_words(np.array([p.word for p in members], dtype=np.int8), upward)
+    hit = np.zeros(len(covers), dtype=bool)
+    for pat in patterns:
+        hit |= _contains_rows(covers, pat.word)
+    found = np.flatnonzero(hit)
+    found = found[np.lexsort((ks[found], rows[found]))]
+    bad = []
+    for i in found.tolist():
+        p, q = members[rows[i]], Permutation(tuple(covers[i].tolist()))
+        bad.append(f"{p} < {q} leaves the family" if upward else f"{q} < {p} leaves the family")
+    return bad
+
+
 def verify_structure(n: int) -> list[ClaimResult]:
-    """Check the structural claims about the families at size n."""
+    """Check the structural claims about the families at size n.
+
+    The closure claims test every cover of every member at once with
+    `_contains_rows`; the members are the cached family lattices' elements,
+    less the adjoined bound.  The swap claims test their few words one at a
+    time with `contains_pattern`.
+    """
     claims: list[ClaimResult] = []
-    avoids_a = lambda p: not any(contains_pattern(p, t) for t in AVOIDED_PATTERNS["A"])
     avoids_b = lambda p: not contains_pattern(p, Permutation((3, 2, 1)))
-    family_a = enumerate_avoiders(n, AVOIDED_PATTERNS["A"])
-    family_b = enumerate_avoiders(n, AVOIDED_PATTERNS["B"])
+    family_a = build_family("A", n).elements[1:]
+    family_b = build_family("B", n).elements[:-1]
 
     # upward closure: an order filter is exactly a set closed under upper covers
-    bad = [
-        f"{p} < {q} leaves the family"
-        for p in family_a
-        for q in upper_covers(p)
-        if not avoids_a(q)
-    ]
+    bad = _closure_failures(family_a, AVOIDED_PATTERNS["A"], upward=True)
     claims.append(_claim("avoiders-upward-closed", "A", n, bad))
 
-    bad = [
-        f"{q} < {p} leaves the family"
-        for p in family_b
-        for q in lower_covers(p)
-        if not avoids_b(q)
-    ]
+    bad = _closure_failures(family_b, AVOIDED_PATTERNS["B"], upward=False)
     claims.append(_claim("avoiders-downward-closed", "B", n, bad))
 
     bad = [
@@ -580,25 +611,70 @@ def _join_of_atoms(lattice: BoundedLattice, labels) -> int:
     return acc
 
 
+def _lex_permutations(n: int) -> np.ndarray:
+    """The n! words of [n] as rows of an int8 array, in lexicographic order.
+
+    Built up by degree: the words of [m] that start with v are v followed by
+    the words of [m-1] with every value from v up raised by one.
+    """
+    words = np.ones((1, 1), dtype=np.int8)
+    for m in range(2, n + 1):
+        out = np.empty((m * len(words), m), dtype=np.int8)
+        for v in range(1, m + 1):
+            block = out[(v - 1) * len(words) : v * len(words)]
+            block[:, 0] = v
+            block[:, 1:] = words + (words >= v)
+        words = out
+    return words
+
+
 def _chained_inversion_disagreement(n: int) -> list[str]:
     """Failures of chained-inversion-characterization: the first disagreeing word, if any.
 
+    Both sides run on the n! words at once, in lexicographic order, so the
+    first index where they differ is the lexicographically first witness.
     The containment side stays definitional and shares no code with the
-    chained sweep: membership in the 321-avoiders that the generic anchored
-    search lists.  Its own function, so the n! words die before the
-    lattices that the next claims build.
+    chained sweep: `_contains_rows` tests every 3-subset of positions
+    against 321.  Its own function, so the n! words die before the lattices
+    that the next claims build.
     """
-    words = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
-        dtype=np.int8,
-        count=n * math.factorial(n),
-    ).reshape(-1, n)
-    chained = _has_chained_inversions(words).tolist()
-    avoiders = set(_anchored_search(n, [(3, 2, 1)]))
-    for w, has_chain in zip(itertools.permutations(range(1, n + 1)), chained):
-        if has_chain == (w in avoiders):
-            return [f"{Permutation(w)}: chained inversions disagree with containment"]
-    return []
+    words = _lex_permutations(n)
+    differ = np.flatnonzero(_has_chained_inversions(words) != _contains_rows(words, (3, 2, 1)))
+    if not len(differ):
+        return []
+    first = Permutation(tuple(words[differ[0]].tolist()))
+    return [f"{first}: chained inversions disagree with containment"]
+
+
+def _contains_rows(words: np.ndarray, pat_word) -> np.ndarray:
+    """Per row of an (N, n) array of words: does some subsequence order like the pattern?
+
+    The definition of containment, on whole columns: for every k-subset of
+    positions, the AND of the comparison the pattern demands between each
+    pair of its entries, ORed into the answer.  Subsets are walked in lex
+    order, and a shared prefix of positions keeps its AND, so besides a
+    column-major copy of the words only one length-N array per depth is
+    alive.  A pattern longer than the words gives all False.
+    """
+    k, (count, n) = len(pat_word), words.shape
+    found = np.zeros(count, dtype=bool)
+    if k > n:
+        return found
+    cols = np.ascontiguousarray(words.T)
+
+    def extend(match, chosen: tuple[int, ...]) -> None:
+        d = len(chosen)
+        if d == k:
+            found[...] |= match
+            return
+        for j in range(chosen[-1] + 1 if chosen else 0, n - k + d + 1):
+            m = match
+            for a, i in enumerate(chosen):
+                m = m & (cols[i] < cols[j] if pat_word[a] < pat_word[d] else cols[i] > cols[j])
+            extend(m, chosen + (j,))
+
+    extend(np.ones(count, dtype=bool), ())
+    return found
 
 
 def _has_chained_inversions(words: np.ndarray) -> np.ndarray:

@@ -186,8 +186,8 @@ def is_bounded_below(order: AtomOrder, atoms) -> bool:
     return bool(view.first(join) < positions[0])
 
 
-def nbb_bases_of(order: AtomOrder, x) -> list[NbbBase]:
-    """All NBB sets joining to x, atoms listed in order position.
+def _nbb_sets(order: AtomOrder) -> dict[int, list[tuple[int, ...]]]:
+    """The NBB sets of every element reached, as ascending position tuples.
 
     Runs the passes of `_mobius_column` with each element carrying the
     position tuples of its NBB sets, the empty one at the bottom, in place
@@ -195,19 +195,28 @@ def nbb_bases_of(order: AtomOrder, x) -> list[NbbBase]:
     extends.  No list a pass extends held a set before it: a set of later
     atoms joining to y, which lies above a_m, would have that earlier atom
     strictly below its join and so be BB.  So a pass never reads a list it
-    has extended, and no set takes the same atom twice.  The sets come
-    sorted by their tuples, as a depth-first search by position finds
-    them: {0}, {0, 1}, {0, 1, 2}, {0, 2}, {1}, and so on.
+    has extended, and no set takes the same atom twice.  Elements no NBB
+    set joins to are absent.
     """
-    target = order.lattice._as_index(x)
     view = _Search(order)
     sets = {view.bottom: [()]}
     for m in range(len(view.atoms) - 1, -1, -1):
         xs, ys = _prepend(view, m, np.fromiter(sets, dtype=np.intp, count=len(sets)))
         for u, y in zip(xs.tolist(), ys.tolist()):
             sets.setdefault(y, []).extend([(m, *ps) for ps in sets[u]])
-    ranked = sorted(sets.get(target, ()))
-    return [NbbBase(tuple(view.atoms[p] for p in ps), target) for ps in ranked if ps]
+    return sets
+
+
+def nbb_bases_of(order: AtomOrder, x) -> list[NbbBase]:
+    """All NBB sets joining to x, atoms listed in order position.
+
+    Reads x's entry of `_nbb_sets`.  The sets come sorted by their tuples,
+    as a depth-first search by position finds them: {0}, {0, 1},
+    {0, 1, 2}, {0, 2}, {1}, and so on.
+    """
+    target = order.lattice._as_index(x)
+    ranked = sorted(_nbb_sets(order).get(target, ()))
+    return [NbbBase(tuple(order.sequence[p] for p in ps), target) for ps in ranked if ps]
 
 
 def mobius_via_nbb(order: AtomOrder) -> int:

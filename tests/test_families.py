@@ -35,10 +35,14 @@ from mobiuslat.families import (
     word_label,
 )
 from mobiuslat.families import (
+    _closure_failures,
     _containment_order,
+    _contains_rows,
+    _cover_words,
     _family_poset,
     _has_chained_inversions,
     _join_swap,
+    _lex_permutations,
     _mobius_by_rank,
     _mobius_identity_claim,
 )
@@ -47,9 +51,12 @@ from mobiuslat.permutation import (
     _anchored_search,
     _from_rows,
     _rows,
+    contains_pattern,
     enumerate_avoiders,
     inversion_mask,
     inversion_set,
+    lower_covers,
+    upper_covers,
     weak_join,
     weak_leq,
 )
@@ -504,15 +511,84 @@ def test_chained_inversion_claim_can_fail(monkeypatch):
 
 
 def test_chained_inversion_claim_fails_when_containment_misses_an_avoider(monkeypatch):
-    dropped = (2, 4, 1, 3)
+    # containment reports 2413, which avoids 321, as holding one
+    avoider = [2, 4, 1, 3]
 
-    def short_by_one(n, pat_words):
-        return [w for w in _anchored_search(n, pat_words) if w != dropped]
+    def misses_one(words, pat_word):
+        found = _contains_rows(words, pat_word)
+        if tuple(pat_word) == (3, 2, 1):
+            found |= [w == avoider for w in words.tolist()]
+        return found
 
-    monkeypatch.setattr(families, "_anchored_search", short_by_one)
+    monkeypatch.setattr(families, "_contains_rows", misses_one)
     claim = next(c for c in verify_structure(4) if c.id == "chained-inversion-characterization")
     assert not claim.passed
     assert claim.witness == "2413: chained inversions disagree with containment"
+
+
+def word_array(perms):
+    return np.array([p.word for p in perms], dtype=np.int8)
+
+
+def test_lex_permutations_match_itertools():
+    for n in range(1, 8):
+        expect = list(itertools.permutations(range(1, n + 1)))
+        got = _lex_permutations(n)
+        assert got.dtype == np.int8 and got.shape == (len(expect), n)
+        assert [tuple(w) for w in got.tolist()] == expect
+
+
+def test_contains_rows_matches_contains_pattern():
+    patterns = [Permutation(w) for k in range(1, 5) for w in itertools.permutations(range(1, k + 1))]
+    for n in range(1, 7):
+        perms = enumerate_avoiders(n, [])
+        words = word_array(perms)
+        for pat in patterns + [Permutation(tuple(range(n + 1, 0, -1)))]:
+            got = _contains_rows(words, pat.word).tolist()
+            assert got == [contains_pattern(p, pat) for p in perms], (n, pat)
+
+
+def test_cover_words_match_upper_and_lower_covers():
+    for n in range(1, 6):
+        perms = enumerate_avoiders(n, [])
+        for upward, oracle in ((True, upper_covers), (False, lower_covers)):
+            covers, rows, ks = _cover_words(word_array(perms), upward)
+            assert covers.dtype == np.int8 and len(covers) == len(rows) == len(ks)
+            for i, p in enumerate(perms):
+                mine = [Permutation(tuple(w)) for w in covers[rows == i].tolist()]
+                assert mine == oracle(p), (p, upward)
+                for q, k in zip(mine, ks[rows == i].tolist()):
+                    assert {a for a, b in zip(p.word, q.word) if a != b} == {k, k + 1}
+
+
+def closure_oracle(members, patterns, upward):
+    """The closure claims' list comprehension, one contains_pattern call per cover."""
+    avoids = lambda q: not any(contains_pattern(q, t) for t in patterns)
+    if upward:
+        return [f"{p} < {q} leaves the family" for p in members for q in upper_covers(p) if not avoids(q)]
+    return [f"{q} < {p} leaves the family" for p in members for q in lower_covers(p) if not avoids(q)]
+
+
+def test_closure_failures_match_the_list_comprehension():
+    # A is closed upward and B downward; the other directions, other pattern
+    # sets and random subsets are not, and fail in many places
+    rng = np.random.default_rng(5)
+    for n in (5, 6):
+        every = enumerate_avoiders(n, [])
+        subsets = [
+            (enumerate_avoiders(n, AVOIDED_PATTERNS["A"]), AVOIDED_PATTERNS["A"]),
+            (enumerate_avoiders(n, AVOIDED_PATTERNS["B"]), AVOIDED_PATTERNS["B"]),
+            (enumerate_avoiders(n, [Permutation((2, 3, 1))]), (Permutation((2, 3, 1)),)),
+            ([p for p, keep in zip(every, rng.random(len(every)) < 0.3) if keep], AVOIDED_PATTERNS["B"]),
+            ([p for p, keep in zip(every, rng.random(len(every)) < 0.3) if keep], AVOIDED_PATTERNS["A"]),
+        ]
+        failing = 0
+        for members, patterns in subsets:
+            for upward in (True, False):
+                expect = closure_oracle(members, patterns, upward)
+                assert _closure_failures(members, patterns, upward) == expect, (n, patterns, upward)
+                failing += len(expect) > 1
+        assert failing >= 6, n
 
 
 @pytest.mark.parametrize("family", ["A", "B"])

@@ -236,11 +236,9 @@ def signed_count_case(order):
 
 def listed_column(order):
     """Signed count of the listed NBB sets per join, the empty set included."""
-    lat = order.lattice
-    col = np.zeros(lat.size, dtype=np.int64)
-    col[lat.bottom] = 1
-    for x in range(lat.size):
-        col[x] += signed(len(b.atoms) for b in nbb_bases_of(order, x))
+    col = np.zeros(order.lattice.size, dtype=np.int64)
+    for x, sets in nbb_module._nbb_sets(order).items():
+        col[x] = signed(len(ps) for ps in sets)
     return col
 
 
