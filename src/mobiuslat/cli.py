@@ -13,8 +13,9 @@ exception is reported as one line on stderr instead of a traceback.
 Sizes past DEFAULT_MAX_N need --force; then a memory estimate, which
 --force does not lift, refuses with exit 2 what cannot fit in physical
 memory before anything is enumerated.  mobius for family B builds no
-lattice, so its estimate is a few hundred bytes per element; every other
-lattice command is estimated by its dense N x N arrays.
+lattice, so it has a bound of its own, TABLE_FREE_MAX_N, and its estimate
+is about a hundred bytes per element; every other lattice command is
+estimated by its dense N x N arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .fibpoly import fib_poly, h_poly
 from .nbb import nbb_bases_of
 
 DEFAULT_MAX_N = {"A": 10, "B": 9, "C": 10}
+# mobius for B, which holds no N x N array: n=13 takes a few seconds
+TABLE_FREE_MAX_N = 13
 # H_n lists all F_n sparse sets, about 1.6 times more per step: 75025 at n=25
 FIB_MAX_N = 25
 EXIT_INTERNAL_ERROR = 3
@@ -78,9 +81,10 @@ def _dense_bytes(family: str, n: int) -> int:
     return count * count * (3 + (2 if count <= 32767 else 4))
 
 
-# Peak bytes per element of B's table-free mobius: the Permutation, its
-# inversion mask and its packed limbs; measured at 290-380 B for n = 11..13.
-TABLE_FREE_BYTES = 500
+# Peak bytes per element of B's table-free mobius: the walk's word columns
+# and index arrays, then the packed limbs and the recurrence's sort; peak RSS
+# above the interpreter's measured 59, 61 and 64 B at n = 13, 14 and 15.
+TABLE_FREE_BYTES = 120
 
 
 def _check_memory(parser, need: int, what: str, store: str = "dense tables"):
@@ -109,10 +113,10 @@ def _gib(nbytes: int) -> str:
 def _check_bounds(parser, family: str, n_hi: int, force: bool, table_free: bool = False):
     """The n gate, which --force lifts, then the memory check, which it does not.
 
-    A table-free request holds a few hundred bytes per element, where a
+    A table-free request holds about a hundred bytes per element, where a
     dense one holds its N x N arrays.
     """
-    bound = DEFAULT_MAX_N[family]
+    bound = TABLE_FREE_MAX_N if table_free else DEFAULT_MAX_N[family]
     if n_hi > bound and not force:
         parser.error(
             f"n={n_hi} exceeds the default bound {bound} for family {family}; "

@@ -37,8 +37,10 @@ from .nbb import AtomOrder, _mobius_column, mobius_via_nbb, nbb_bases_of, shuffl
 from .permutation import (
     Permutation,
     adjacent_transposition,
+    avoiders_321,
     contains_pattern,
     enumerate_avoiders,
+    inversion_limbs,
     inversion_mask,
     weak_join,
 )
@@ -133,20 +135,20 @@ def _containment_order(masks: list[int], out: np.ndarray) -> None:
         _subsets(packed[lo : lo + step], packed, out=out[lo : lo + step])
 
 
-def _mobius_by_rank(masks: list[int]) -> np.ndarray:
-    """mu(bottom, x) over the masks under containment, then at a top adjoined last.
+def _mobius_by_rank(packed: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """mu(bottom, x) over packed masks under containment, then at a top adjoined last.
 
-    The masks must hold 0, the bottom.  A mask lies strictly inside
-    another only at a smaller bit count, so going up by bit count,
-    mu(bottom, x) is minus the sum of the values already found at the masks
-    inside x.  Only the nonzero values, mu's support, are kept to be tested
-    against the next counts, and the top gets minus the sum of them all.
-    No N x N array is made: each block of subset tests is support by block.
+    `packed` holds the masks as rows of 64-bit limbs, laid out like
+    `_pack`, and `counts` their bit counts; one mask must be 0, the bottom.
+    A mask lies strictly inside another only at a smaller bit count, so
+    going up by bit count, mu(bottom, x) is minus the sum of the values
+    already found at the masks inside x.  Only the nonzero values, mu's
+    support, are kept to be tested against the next counts, and the top
+    gets minus the sum of them all.  No N x N array is made: each block of
+    subset tests is support by block.
     """
-    packed = _pack(masks)
-    counts = np.array([m.bit_count() for m in masks])
     by_count = np.argsort(counts, kind="stable")
-    mu = np.zeros(len(masks) + 1, dtype=np.int64)
+    mu = np.zeros(len(packed) + 1, dtype=np.int64)
     support, values = packed[:0], mu[:0]
     for level in np.split(by_count, np.flatnonzero(np.diff(counts[by_count])) + 1):
         step = max(1, _SUBSET_CHUNK // max(len(support), 1))
@@ -236,13 +238,13 @@ class _MaskView:
 def _table_free_mobius_b(n: int) -> tuple[int, int]:
     """mu(0̂, 1̂) of B at size n by the recurrence and by NBB, no N x N array.
 
-    The recurrence runs on the packed inversion masks of the avoiders; the
-    NBB sum, under the canonical order, on a `_MaskView`, which shares no
-    join code with it.
+    The recurrence runs on the packed inversion masks of the avoiders,
+    taken straight from the walk's word array; the NBB sum, under the
+    canonical order, on a `_MaskView`, which shares no join code with it.
     """
-    masks = [inversion_mask(p) for p in enumerate_avoiders(n, AVOIDED_PATTERNS["B"])]
+    recurrence = int(_mobius_by_rank(*inversion_limbs(avoiders_321(n)))[-1])
     view = _MaskView(n, range(1, n))
-    return int(_mobius_by_rank(masks)[-1]), int(_mobius_column(view)[view.top])
+    return recurrence, int(_mobius_column(view)[view.top])
 
 
 @dataclass(eq=False)
@@ -533,8 +535,8 @@ def verify_structure(n: int) -> list[ClaimResult]:
     claims.append(_claim("avoider-head-structure", "A", n, bad))
 
     if n >= 3:
-        two = {Permutation((n - 1, n) + w.word) for w in enumerate_avoiders(n - 2, AVOIDED_PATTERNS["A"])}
-        one = {Permutation((n,) + w.word) for w in enumerate_avoiders(n - 1, AVOIDED_PATTERNS["A"])}
+        two = {Permutation((n - 1, n) + w.word) for w in build_family("A", n - 2).elements[1:]}
+        one = {Permutation((n,) + w.word) for w in build_family("A", n - 1).elements[1:]}
         bad = []
         if two & one:
             bad.append(f"overlap: {next(iter(two & one))}")

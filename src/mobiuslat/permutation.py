@@ -47,6 +47,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DegreeMismatch(ValueError):
     """Raised when two permutations of different degrees are compared."""
@@ -375,31 +377,71 @@ def _anchored_search(n: int, pat_words) -> list[tuple[int, ...]]:
     return out
 
 
-def _walk_321(n: int) -> list[tuple[int, ...]]:
-    """Words of the 321-avoiders in lex order; every prefix visited is live.
+def avoiders_321(n: int) -> np.ndarray:
+    """The 321-avoiders of [n] as a (C_n, n) int8 word array, in lex order.
 
-    The state is the running maximum `top` and the set `free` of unplaced
-    values, whose lowest bit is the smallest unplaced value.  The live
-    extensions are that smallest value, when it lies below `top`, and every
-    value above `top`, all of which are unplaced.
+    The walk of the module docstring, one level at a time.  Each live
+    prefix keeps its running maximum `top` and the bitmask `free` of
+    unplaced values, whose lowest bit is the smallest unplaced value s.
+    Its children, in increasing order of the appended value, are s when
+    s < top and every value above `top`; np.repeat over those counts lays
+    each parent's children out in its place, so every level stays in lex
+    order.  The last value is the one left unplaced.  The words are
+    gathered column by column, so the array is a transposed view.
     """
-    word = [0] * n
-    out: list[tuple[int, ...]] = []
+    if not 1 <= n <= 63:
+        raise ValueError(f"degree {n} not in 1..63")
+    # no level outgrows its C_n avoiders, and C_19 < 2**31 <= C_20
+    index = np.int32 if n < 20 else np.int64
+    columns = np.zeros((n, 1), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)
+    free = np.array([((1 << n) - 1) << 1], dtype=np.uint64)
+    for j in range(n - 1):
+        # the lowest set bit is a power of two, which float64 holds exactly
+        low = (np.frexp(free & (~free + 1))[1] - 1).astype(np.int8)
+        has_low = low < top
+        counts = n - top + has_low
+        first = np.cumsum(counts, dtype=index) - counts
+        parent = np.repeat(np.arange(len(top), dtype=index), counts)
+        # child k of parent p, at first[p] + k, appends top + 1 + k, or
+        # top + k when s comes first; then s is put in its place
+        value = np.repeat(top + 1 - has_low - first, counts)
+        value += np.arange(len(parent), dtype=index)
+        value = value.astype(np.int8)
+        value[first[has_low]] = low[has_low]
+        columns = columns[:, parent]
+        columns[j] = value
+        if j < n - 2:
+            top = np.maximum(top[parent], value)
+            free = free[parent]
+            free ^= np.left_shift(np.uint64(1), value.astype(np.uint64))
+    columns[-1] = n * (n + 1) // 2 - columns[:-1].sum(axis=0, dtype=np.int16)
+    return columns.T
 
-    def grow(j: int, top: int, free: int):
-        if j == n:
-            out.append(tuple(word))
-            return
-        low = (free & -free).bit_length() - 1
-        if low < top:
-            word[j] = low
-            grow(j + 1, top, free ^ (1 << low))
-        for v in range(top + 1, n + 1):
-            word[j] = v
-            grow(j + 1, v, free ^ (1 << v))
 
-    grow(0, 0, ((1 << n) - 1) << 1)
-    return out
+def inversion_limbs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inversion masks of a word array as rows of 64-bit limbs, and their sizes.
+
+    Row r is inversion_mask of word r, limb k holding its bits 64k to
+    64k + 63, in ceil(n(n-1)/2 / 64) limbs (at least one); counts[r] is
+    its number of inversions.  One column comparison per pair (i, j) sets
+    bit pair_index(n, i, j) of every row at once, in the little-endian
+    bytes that the limbs view.
+    """
+    rows, n = words.shape
+    limbs = max(1, (n * (n - 1) // 2 + 63) // 64)
+    columns = np.ascontiguousarray(words.T)
+    octets = np.zeros((8 * limbs, rows), dtype=np.uint8)
+    counts = np.zeros(rows, dtype=np.int16)
+    above = np.empty(rows, dtype=bool)
+    bit = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            np.greater(columns[i], columns[j], out=above)
+            counts += above
+            octets[bit >> 3] |= above.view(np.uint8) << (bit & 7)
+            bit += 1
+    return np.ascontiguousarray(octets.T).view("<u8"), counts
 
 
 def _walk_123_132_213(n: int) -> list[tuple[int, ...]]:
@@ -431,7 +473,10 @@ def _walk_123_132_213(n: int) -> list[tuple[int, ...]]:
 
 
 _TRIPLE = ((1, 2, 3), (1, 3, 2), (2, 1, 3))
-_WALKS = {frozenset({(3, 2, 1)}): _walk_321, frozenset(_TRIPLE): _walk_123_132_213}
+_WALKS = {
+    frozenset({(3, 2, 1)}): lambda n: [tuple(w) for w in avoiders_321(n).tolist()],
+    frozenset(_TRIPLE): _walk_123_132_213,
+}
 
 
 def _value_swap(w, k) -> Permutation:

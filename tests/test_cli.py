@@ -72,9 +72,16 @@ def test_mobius_bad_range_exits_2(capsys):
 
 
 def test_mobius_bound_gate(capsys):
-    code, _, err = run_capture(capsys, ["mobius", "--family", "B", "--n", "10"])
+    # B's table-free mobius has a bound of its own; dense B commands keep 9
+    code, _, err = run_capture(capsys, ["mobius", "--family", "B", "--n", "14"])
     assert code == 2
-    assert "--force" in err
+    assert "--force" in err and "default bound 13" in err
+    code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "10"])
+    assert code == 0
+    assert out.startswith("n=10: ") and out.endswith("-> agree\n")
+    code, _, err = run_capture(capsys, ["nbb-bases", "--family", "B", "--n", "10"])
+    assert code == 2
+    assert "--force" in err and "default bound 9" in err
 
 
 @pytest.mark.parametrize(
@@ -88,13 +95,14 @@ def test_mobius_bound_gate(capsys):
 )
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     # B at n=12 has 208 013 elements, and its dense tables alone are ~280 GiB;
-    # B's table-free mobius at n=20 holds 6.6e9 elements at ~500 B each;
+    # B's table-free mobius at n=20 holds 6.6e9 elements at ~120 B each;
     # at n=600 (masks) and n=300 (dense) no float holds the byte count
     def unreachable(*args):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(families, "build_family", unreachable)
     monkeypatch.setattr(families, "enumerate_avoiders", unreachable)
+    monkeypatch.setattr(families, "avoiders_321", unreachable)
     monkeypatch.setattr(cli, "build_family", unreachable)
     code, out, err = run_capture(capsys, argv)
     assert code == 2
@@ -130,10 +138,16 @@ def test_mobius_b_join_without_the_321_test_is_caught(capsys, monkeypatch):
 
 
 def test_mobius_b_recurrence_missing_a_support_element_is_caught(capsys, monkeypatch):
-    # leaving s_3 (mu -1) out of the masks drops it from every sum above it;
-    # some atoms leave mu(0, 1) at n=9 unchanged, s_3 moves it from 1 to 2
+    # leaving s_3 (mu -1) out of the packed masks drops it from every sum above
+    # it; some atoms leave mu(0, 1) at n=9 unchanged, s_3 moves it from 1 to 2
     by_rank, s3 = families._mobius_by_rank, 1 << pair_index(9, 3, 4)
-    monkeypatch.setattr(families, "_mobius_by_rank", lambda masks: by_rank([m for m in masks if m != s3]))
+
+    def without_s3(packed, counts):
+        keep = packed[:, 0] != s3
+        assert packed.shape[1] == 1 and (~keep).sum() == 1
+        return by_rank(packed[keep], counts[keep])
+
+    monkeypatch.setattr(families, "_mobius_by_rank", without_s3)
     assert families._table_free_mobius_b(9) == (2, 1)
     code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "9"])
     assert code == 1

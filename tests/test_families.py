@@ -45,14 +45,17 @@ from mobiuslat.families import (
     _lex_permutations,
     _mobius_by_rank,
     _mobius_identity_claim,
+    _pack,
 )
 from mobiuslat.permutation import (
     Permutation,
     _anchored_search,
     _from_rows,
     _rows,
+    avoiders_321,
     contains_pattern,
     enumerate_avoiders,
+    inversion_limbs,
     inversion_mask,
     inversion_set,
     lower_covers,
@@ -630,16 +633,19 @@ def test_mask_joins_match_atom_join_columns():
 def test_mask_recurrence_matches_the_dense_recurrence():
     for n in range(1, 10):
         lattice = build_family("B", n).lattice
-        masks = [inversion_mask(p) for p in enumerate_avoiders(n, AVOIDED_PATTERNS["B"])]
-        column = _mobius_by_rank(masks)
+        column = _mobius_by_rank(*inversion_limbs(avoiders_321(n)))
         assert column.tolist() == lattice.poset._mobius_from(lattice.bottom).tolist(), n
+
+
+def mobius_by_rank_of(masks):
+    return _mobius_by_rank(_pack(masks), np.array([m.bit_count() for m in masks]))
 
 
 def test_mask_recurrence_on_small_orders():
     # 0 < 1 < 3 < 7 < top: mu is 1, -1, 0, 0, 0; {0, 1, 2, 4} + top: 1, -1, -1, -1, 2
-    assert _mobius_by_rank([0, 1, 3, 7]).tolist() == [1, -1, 0, 0, 0]
-    assert _mobius_by_rank([4, 0, 2, 1]).tolist() == [-1, 1, -1, -1, 2]
+    assert mobius_by_rank_of([0, 1, 3, 7]).tolist() == [1, -1, 0, 0, 0]
+    assert mobius_by_rank_of([4, 0, 2, 1]).tolist() == [-1, 1, -1, -1, 2]
     # a square whose second atom sits past the first 64-bit limb, and 3,
     # which holds the first atom but not the second
     wide = 1 << 70
-    assert _mobius_by_rank([wide | 1, wide, 0, 1, 3]).tolist() == [1, -1, 1, -1, 0, 0]
+    assert mobius_by_rank_of([wide | 1, wide, 0, 1, 3]).tolist() == [1, -1, 1, -1, 0, 0]

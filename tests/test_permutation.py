@@ -1,21 +1,26 @@
 """Inversion sets, weak-order comparisons, and pattern avoidance."""
 
 import itertools
+import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuslat.families import AVOIDED_PATTERNS, weak_order_lattice
+from mobiuslat.families import AVOIDED_PATTERNS, _pack, weak_order_lattice
 from mobiuslat.permutation import (
     DegreeMismatch,
     DuplicateEntries,
     NotAnInversionSet,
     Permutation,
+    avoiders_321,
     contains_pattern,
     enumerate_avoiders,
     from_inversion_set,
     identity,
+    inversion_limbs,
     inversion_mask,
     inversion_set,
     lower_covers,
@@ -351,6 +356,38 @@ def test_walk_matches_anchored_search(family):
         walked = _WALKS[frozenset(pat_words)](n)
         assert walked == _anchored_search(n, pat_words), n
         assert [p.word for p in enumerate_avoiders(n, pats)] == walked
+
+
+def test_numpy_321_walk_matches_anchored_search():
+    for n in range(1, 9):
+        words = avoiders_321(n)
+        assert words.dtype == np.int8 and words.shape == (math.comb(2 * n, n) // (n + 1), n)
+        assert [tuple(w) for w in words.tolist()] == _anchored_search(n, [(3, 2, 1)]), n
+    for n in (0, 64):
+        with pytest.raises(ValueError):
+            avoiders_321(n)
+
+
+def assert_limbs_match_masks(words):
+    masks = [inversion_mask(P(tuple(w))) for w in words.tolist()]
+    packed, counts = inversion_limbs(words)
+    expected = _pack(masks)
+    assert packed.dtype == expected.dtype and packed.shape == expected.shape
+    assert np.array_equal(packed, expected)
+    assert counts.tolist() == [m.bit_count() for m in masks]
+
+
+def test_inversion_limbs_match_packed_masks():
+    # the 321-avoiders, and every word of S_n, whose reversal sets the last pair
+    for n in range(1, 11):
+        assert_limbs_match_masks(avoiders_321(n))
+    for n in range(1, 7):
+        assert_limbs_match_masks(np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8))
+    # past one limb: n = 12, 13 and 20 take 66, 78 and 190 pairs, so 2, 2 and 3 limbs
+    rng = random.Random(12)
+    for n in (12, 13, 20):
+        words = [list(range(n, 0, -1))] + [rng.sample(range(1, n + 1), n) for _ in range(50)]
+        assert_limbs_match_masks(np.array(words, dtype=np.int8))
 
 
 def test_enumeration_ignores_pattern_order_and_repeats():
