@@ -75,7 +75,9 @@ def _dense_bytes(family: str, n: int) -> int:
     """Bytes of the N x N arrays a family lattice holds at once while built.
 
     The order matrix, the cover matrix and validation's strict copy take
-    one byte per entry; the meet table two, or four past 32767 elements.
+    one byte per entry; a meet table two, or four past 32767 elements.  The
+    lattice check builds no meet table, so only commands that read meets
+    hold one; the estimate still counts it.
     """
     count = _element_count(family, n)
     return count * count * (3 + (2 if count <= 32767 else 4))

@@ -123,15 +123,15 @@ def _subsets(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _containment_order(masks: list[int], out: np.ndarray) -> None:
-    """Write out[p, q] = (masks[p] is a subset of masks[q]) in place.
+def _containment_order(packed: np.ndarray, out: np.ndarray) -> None:
+    """Write out[p, q] = (mask p is a subset of mask q) in place.
 
-    `out` is the caller's order matrix, or the slice of it that leaves out
-    an adjoined bound.
+    The masks are rows of 64-bit limbs, as `_pack` lays them out.  `out` is
+    the caller's order matrix, or the slice of it that leaves out an
+    adjoined bound.
     """
-    packed = _pack(masks)
-    step = max(1, _SUBSET_CHUNK // max(len(masks), 1))
-    for lo in range(0, len(masks), step):
+    step = max(1, _SUBSET_CHUNK // max(len(packed), 1))
+    for lo in range(0, len(packed), step):
         _subsets(packed[lo : lo + step], packed, out=out[lo : lo + step])
 
 
@@ -292,19 +292,25 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
     """The validated order of one family, its adjoined label and its elements.
 
     Each is its members' bitmasks under containment plus the adjoined
-    bound: inversion masks for A and B, partial-sum masks for C.  No
-    lattice table is built, so what needs only the order stops here.
+    bound: inversion masks for A and B, partial-sum masks for C.  B's
+    masks are packed straight from the walk's word array, whose rows are
+    also its members.  No lattice table is built, so what needs only the
+    order stops here.
     """
     if family not in ("A", "B", "C"):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if family == "C":
-        members, name, mask = composition_words(n), word_label, _split_mask
+        members = composition_words(n)
+        labels, packed = [word_label(m) for m in members], _pack([_split_mask(m) for m in members])
+    elif family == "B":
+        words = avoiders_321(n)
+        members = [Permutation(tuple(w)) for w in words.tolist()]
+        labels, packed = [str(m) for m in members], inversion_limbs(words)[0]
     else:
         members = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
-        name, mask = str, inversion_mask
-    labels = [name(m) for m in members]
+        labels, packed = [str(m) for m in members], _pack([inversion_mask(m) for m in members])
     leq = np.zeros((len(members) + 1,) * 2, dtype=bool)
     if family == "B":
         leq[:, -1] = True
@@ -312,7 +318,7 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
     else:
         leq[0] = True
         core, labels, elements = leq[1:, 1:], [BOTTOM_LABEL] + labels, (None,) + tuple(members)
-    _containment_order([mask(m) for m in members], core)
+    _containment_order(packed, core)
     adjoined = TOP_LABEL if family == "B" else BOTTOM_LABEL
     return FinitePoset(labels, leq), adjoined, elements
 
@@ -329,7 +335,7 @@ def weak_order_lattice(n: int) -> BoundedLattice:
     """All of S_n under the weak order, as a lattice."""
     perms = enumerate_avoiders(n, [])
     leq = np.empty((len(perms), len(perms)), dtype=bool)
-    _containment_order([inversion_mask(p) for p in perms], leq)
+    _containment_order(_pack([inversion_mask(p) for p in perms]), leq)
     return as_lattice(FinitePoset([str(p) for p in perms], leq))
 
 

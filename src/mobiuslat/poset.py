@@ -13,23 +13,38 @@ along a linear extension over the support of mu(x, .), since zero terms
 add nothing; this module is the oracle the rest of the package is
 measured against.
 
-Lattice promotion computes the total meet table, which is also the lattice
-check: a finite bounded poset in which every pair has a meet is a lattice.
-For an element x with lower covers d_1..d_k, any lower bound of {x, y}
-other than x itself sits under some d_t, so meet(x, y) must be the largest
-of the meet(d_t, y); when no single candidate dominates the others the
-input is not a lattice and the offending pair is reported.  The table is
+Lattice promotion checks meets with the meet-irreducibles only, the
+elements M with exactly one upper cover.  In a finite poset P with bottom
+and top, if x ^ m exists for every x in P and m in M, then P is a lattice.
+Going down from the top, each y other than the top is the greatest lower
+bound of M(y) = {m in M : m >= y}, which the meets x ^ m build one member
+at a time.  If y is in M this is immediate.  Otherwise y has two upper
+covers y_1 and y_2, neither the top.  The iterated meet v of M(y) lies
+under every member of M(y_1), a subset of M(y), so v <= y_1 by induction,
+and likewise v <= y_2; so y <= v <= y_1, y_2, and v = y since y_1 and y_2
+cover y.  Hence x ^ y is the iterated meet of x with the members of M(y),
+and a finite bounded poset in which every pair has a meet is a lattice.
+By duality the joins with the join-irreducibles (one lower cover each) do
+as well, on the dual, and the check takes whichever set is smaller.
+
+The meets x ^ t with the targets t come going up a linear extension.  If
+x <= t the meet is x.  Otherwise any lower bound of {x, t} sits under some
+lower cover c of x, so x ^ t must be the largest of the c ^ t; when no
+single candidate dominates the others the meet does not exist.  The same
+step, with every element as a target, builds the total meet table, which
+names the first pair without a meet when the check fails.  The table is
 built in linear-extension coordinates, where the finished elements are a
 prefix and every access is a slice, and then mapped back to element
 indices in place.
 
-Every other table is lazy.  The join table, the meet table of the dual,
-is built only when asked for, and a lattice shares its tables with its
-dual.  The NBB search needs only the joins x v a with the atoms a, and
-those come from the upper covers, going down a linear extension: x v a
-is x when a <= x, and otherwise the earliest of the c v a over the upper
-covers c of x, because some upper cover c lies below x v a, giving
-c v a = x v a, and every other candidate lies above x v a.
+Every table is lazy.  The meet table, and the join table, which is the
+meet table of the dual, are built only when asked for, and a lattice
+shares its tables with its dual.  The NBB search needs only the joins
+x v a with the atoms a, and those come from the upper covers, going down a
+linear extension: x v a is x when a <= x, and otherwise the earliest of
+the c v a over the upper covers c of x, because some upper cover c lies
+below x v a, giving c v a = x v a, and every other candidate lies above
+x v a.
 """
 
 from __future__ import annotations
@@ -56,6 +71,7 @@ class NotALattice(ValueError):
 # keeps what a large temporary freed, and peak RSS follows the largest one.
 _PAIR_CHUNK = 1 << 12  # comparable pairs gathered at once during validation
 _ENTRY_CHUNK = 1 << 16  # table entries remapped at once
+_RUN_CHUNK = 1 << 16  # candidate meets gathered at once by the lattice check
 
 
 def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -279,11 +295,11 @@ class FinitePoset:
 class BoundedLattice:
     """A finite lattice: poset, its bounds, and lattice tables built on demand.
 
-    The meet table exists from the start, since it is the lattice check.
-    Every other table is built the first time it is asked for and kept in
-    a store shared with the dual, where each orientation of the order has
-    its own slot: the join table of one is the meet table of the other, so
-    no table is ever built twice.
+    `as_lattice` proves the poset a lattice without building a table.
+    Every table is built the first time it is asked for and kept in a store
+    shared with the dual, where each orientation of the order has its own
+    slot: the join table of one is the meet table of the other, so no
+    table is ever built twice.
     """
 
     poset: FinitePoset
@@ -375,8 +391,8 @@ class BoundedLattice:
         return as_lattice(self.poset.interval(x, z))
 
 
-def _lower_covers(poset: FinitePoset) -> list[np.ndarray]:
-    """Lower covers of each element, ascending, from one scan of the covers.
+def _cover_pairs(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """Cover pairs (lo, hi) as two index arrays, sorted by hi, then by lo.
 
     The cover matrix is scanned in memory order, whether it is the poset's
     own C-ordered array or the transposed view a dual holds.
@@ -386,10 +402,15 @@ def _lower_covers(poset: FinitePoset) -> list[np.ndarray]:
     if covers.flags.c_contiguous:
         lo, hi = np.divmod(np.flatnonzero(covers), n)
         by_hi = np.argsort(hi, kind="stable")
-        lo, hi = lo[by_hi], hi[by_hi]
-    else:
-        hi, lo = np.divmod(np.flatnonzero(covers.T), n)
-    return np.split(lo, np.searchsorted(hi, np.arange(1, n)))
+        return lo[by_hi], hi[by_hi]
+    hi, lo = np.divmod(np.flatnonzero(covers.T), n)
+    return lo, hi
+
+
+def _lower_covers(poset: FinitePoset) -> list[np.ndarray]:
+    """Lower covers of each element, ascending."""
+    lo, hi = _cover_pairs(poset)
+    return np.split(lo, np.searchsorted(hi, np.arange(1, poset.size)))
 
 
 def _meet_table(poset: FinitePoset) -> np.ndarray:
@@ -433,6 +454,66 @@ def _meet_table(poset: FinitePoset) -> np.ndarray:
         table[step, step] = step
     _unpermute(table, pos, ext.astype(dtype))
     return table
+
+
+def _meets_with(poset: FinitePoset, targets: np.ndarray) -> np.ndarray | None:
+    """The N x len(targets) array of x ^ t, or None when some x ^ t does not exist.
+
+    The poset must have a bottom.  Going up a linear extension, x ^ t is x
+    when x <= t.  Otherwise every lower bound of {x, t} lies under a lower
+    cover c of x, hence under c ^ t, so x ^ t exists exactly when one
+    candidate c ^ t lies above all the others, and it is that candidate;
+    it has the largest down-set, so it comes latest in the extension, and
+    one `leq` lookup per candidate tells whether it dominates.  Steps are
+    batched into runs of the extension in which no member covers another,
+    split further so that a run of several elements gathers at most
+    _RUN_CHUNK candidate meets.  The columns are kept in extension
+    coordinates and mapped back at the end.
+    """
+    n, width = poset.size, len(targets)
+    ext = poset._linear_extension()
+    pos = np.empty(n, dtype=np.intp)
+    pos[ext] = np.arange(n)
+    lo, hi = _cover_pairs(poset)
+    by_pos = np.argsort(pos[hi], kind="stable")
+    lo, hi = pos[lo[by_pos]], pos[hi[by_pos]]
+    first = np.searchsorted(hi, np.arange(n + 1))  # position i's covers: first[i]:first[i + 1]
+    # ext[0] is the bottom, the one element without lower covers
+    latest = np.maximum.reduceat(lo, first[1:n]).tolist() if n > 1 else []
+    edges = first.tolist()
+    runs = [1] if n > 1 else []
+    for i in range(2, n):
+        if latest[i - 1] >= runs[-1] or (edges[i + 1] - edges[runs[-1]]) * width > _RUN_CHUNK:
+            runs.append(i)
+    runs.append(n)
+    dtype = np.int16 if n < 1 << 15 else np.int32
+    under = poset.leq[np.ix_(ext, targets)]
+    cols = np.zeros((n, width), dtype=dtype)
+    for s, e in zip(runs, runs[1:]):
+        cands = cols[lo[edges[s] : edges[e]]]
+        starts = first[s:e] - edges[s]
+        best = np.maximum.reduceat(cands, starts, axis=0)
+        spread = np.repeat(best, np.diff(first[s : e + 1]), axis=0)
+        below = poset.leq[ext[cands], ext[spread]]
+        if not (np.logical_and.reduceat(below, starts, axis=0) | under[s:e]).all():
+            return None
+        cols[s:e] = np.where(under[s:e], np.arange(s, e, dtype=dtype)[:, None], best)
+    return ext.astype(dtype)[cols[pos]]
+
+
+def _check_side(poset: FinitePoset) -> tuple[FinitePoset, np.ndarray]:
+    """The orientation the lattice check runs on, and its meet-irreducibles.
+
+    The poset's own meet-irreducibles (one upper cover each), or its
+    join-irreducibles (one lower cover each) as those of the dual, whichever
+    are fewer.
+    """
+    covers = poset._covers_matrix
+    meet_irreducible = np.flatnonzero(np.count_nonzero(covers, axis=1) == 1)
+    join_irreducible = np.flatnonzero(np.count_nonzero(covers, axis=0) == 1)
+    if len(join_irreducible) < len(meet_irreducible):
+        return poset.dual(), join_irreducible
+    return poset, meet_irreducible
 
 
 def _atom_join_columns(lattice: BoundedLattice) -> np.ndarray:
@@ -491,11 +572,13 @@ def _unpermute(table: np.ndarray, pos: np.ndarray, ext: np.ndarray) -> None:
 def as_lattice(poset: FinitePoset) -> BoundedLattice:
     """Promote a poset to a lattice, or reject it with a witness.
 
-    Requires a unique minimum and maximum; then builds the full meet table
-    along a linear extension, checking at every step that the candidate
-    bound is unique.  A finite bounded poset in which every pair has a meet
-    is a lattice, so the join table is not needed for the check and is left
-    for `BoundedLattice.join_table` to build on demand.
+    Requires a unique minimum and maximum; then checks that every x ^ m
+    exists for the meet-irreducibles m, or every x v j for the
+    join-irreducibles j on the dual, whichever are fewer, which makes the
+    poset a lattice (see the module docstring).  No table is built: both
+    are left for `BoundedLattice` to build on demand.  On a failed check
+    the meet table is built to name the first pair, in extension order,
+    that lacks a meet.
     """
     n = poset.size
     bottoms = np.nonzero(poset._up_sizes == n)[0]
@@ -504,5 +587,7 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
         raise NotALattice("no unique minimum element")
     if len(tops) != 1:
         raise NotALattice("no unique maximum element")
-    bottom, top = int(bottoms[0]), int(tops[0])
-    return BoundedLattice(poset, bottom, top, {("meet", 0): _meet_table(poset)})
+    if _meets_with(*_check_side(poset)) is None:
+        _meet_table(poset)  # raises NotALattice with the witness
+        raise RuntimeError("the lattice check failed, yet every meet exists")
+    return BoundedLattice(poset, int(bottoms[0]), int(tops[0]), {})

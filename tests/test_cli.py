@@ -316,10 +316,11 @@ def test_hasse_json(capsys):
 
 
 def test_hasse_builds_no_lattice_table(capsys, monkeypatch):
-    def refuse(poset):
-        raise AssertionError("meet table built")
+    def refuse(*args):
+        raise AssertionError("lattice checked or meet table built")
 
     monkeypatch.setattr(poset_module, "_meet_table", refuse)
+    monkeypatch.setattr(poset_module, "_meets_with", refuse)
     # uncached, so a lattice built on the way would reach the patched table
     monkeypatch.setattr(cli, "build_family", families.build_family.__wrapped__)
     code, out, _ = run_capture(capsys, ["hasse", "--family", "B", "--n", "6", "--format", "json"])

@@ -161,6 +161,28 @@ def family_c_from_covers(n):
     return FinitePoset.from_covers([BOTTOM_LABEL] + [word_label(w) for w in words], covers)
 
 
+def family_b_from_covers(n):
+    """Family B from its definition: the weak-order covers among the
+    321-avoiders of S_n, and the top above each avoider none of them covers."""
+    members = [p for p in map(Permutation, itertools.permutations(range(1, n + 1)))
+               if not contains_pattern(p, Permutation((3, 2, 1)))]
+    kept = set(members)
+    covers = []
+    for p in members:
+        above = [q for q in upper_covers(p) if q in kept]
+        covers += [(str(p), str(q)) for q in above] or [(str(p), TOP_LABEL)]
+    return FinitePoset.from_covers([str(p) for p in members] + [TOP_LABEL], covers)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_family_b_masks_match_the_cover_definition(n):
+    oracle = family_b_from_covers(n)
+    fam = build_family("B", n)
+    assert fam.lattice.poset.labels == oracle.labels
+    assert np.array_equal(fam.lattice.poset.leq, oracle.leq)
+    assert [str(p) for p in fam.elements[:-1]] == list(oracle.labels[:-1])
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_family_c_partial_sums_match_the_cover_definition(n):
     oracle = family_c_from_covers(n)
@@ -189,7 +211,7 @@ def test_containment_order_matches_subset_test(chunk, nbits, data):
     bordered = np.full((k + 1, k + 1), border)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "_SUBSET_CHUNK", chunk)
-        _containment_order(masks, bordered[1:, 1:])
+        _containment_order(_pack(masks), bordered[1:, 1:])
     assert np.array_equal(bordered[1:, 1:], expect)
     assert (bordered[0] == border).all() and (bordered[:, 0] == border).all()
 

@@ -1,10 +1,12 @@
 """Finite posets: construction, Mobius values, lattice promotion."""
 
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mobiuslat.poset as poset_module
@@ -53,6 +55,31 @@ def double_diamond():
         "0abcd1",
         [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
     )
+
+
+def random_bounded_poset(rng, inner, density):
+    """A random order on `inner` elements between a bottom and a top, indices shuffled.
+
+    Each pair i < j of the inner elements is related with the given
+    probability, then closed transitively; labels are the unshuffled
+    indices.
+    """
+    n = inner + 2
+    leq = np.eye(n, dtype=bool)
+    leq[0] = leq[:, -1] = True
+    core = leq[1:-1, 1:-1]
+    core |= np.triu(rng.random((inner, inner)) < density, 1)
+    for k in range(inner):
+        core |= np.outer(core[:, k], core[k])
+    perm = rng.permutation(n)
+    return FinitePoset([str(i) for i in perm], leq[np.ix_(perm, perm)])
+
+
+def meet_table_or_message(p):
+    try:
+        return poset_module._meet_table(p)
+    except NotALattice as exc:
+        return str(exc)
 
 
 def test_from_covers_chain():
@@ -387,6 +414,73 @@ def test_as_lattice_rejects_double_diamond_with_witness():
         as_lattice(double_diamond())
 
 
+@given(seed=st.integers(0, 2**32 - 1), inner=st.integers(0, 13), density=st.floats(0.05, 0.7))
+@example(seed=0, inner=8, density=0.3)  # a lattice
+@example(seed=7, inner=8, density=0.3)  # not a lattice
+@settings(max_examples=150, deadline=None)
+def test_lattice_check_matches_meet_table(seed, inner, density):
+    # on each orientation the irreducible check, and the kernel with every
+    # element as a target, pass exactly when the meet table completes, and
+    # give its columns; as_lattice fails with the meet table's witness
+    p = random_bounded_poset(np.random.default_rng(seed), inner, density)
+    for side in (p, p.dual()):
+        table = meet_table_or_message(side)
+        upper = [lo for lo, _ in side.covers()]
+        irreducible = np.array([x for x in range(side.size) if upper.count(x) == 1], dtype=np.intp)
+        for targets in (irreducible, np.arange(side.size)):
+            cols = poset_module._meets_with(side, targets)
+            if isinstance(table, str):
+                assert cols is None
+            else:
+                assert np.array_equal(cols, table[:, targets])
+        try:
+            as_lattice(side)
+            verdict = None
+        except NotALattice as exc:
+            verdict = str(exc)
+        assert verdict == (table if isinstance(table, str) else None)
+
+
+def test_lattice_check_examples_are_a_lattice_and_not_one():
+    # the explicit examples above cover both verdicts, whatever hypothesis draws
+    posets = [random_bounded_poset(np.random.default_rng(seed), 8, 0.3) for seed in (0, 7)]
+    assert [isinstance(meet_table_or_message(p), str) for p in posets] == [False, True]
+
+
+def twin_of_a_join(p):
+    """p plus a copy of its first element below the top with two lower covers.
+
+    The copy has the same strict down-set and up-set as the original, so
+    the two have no meet.
+    """
+    covers = p._covers_matrix
+    e = int(np.flatnonzero((np.count_nonzero(covers, axis=0) >= 2) & covers.any(axis=1))[0])
+    leq = np.zeros((p.size + 1,) * 2, dtype=bool)
+    leq[:-1, :-1] = p.leq
+    leq[-1, :-1], leq[:-1, -1] = p.leq[e], p.leq[:, e]
+    leq[-1, e] = leq[e, -1] = False
+    leq[-1, -1] = True
+    return FinitePoset(p.labels + ("twin",), leq)
+
+
+@pytest.mark.parametrize("family,n,side", [("B", 8, "join"), ("C", 16, "meet")])
+def test_as_lattice_rejects_a_twin_with_the_meet_table_witness(family, n, side):
+    p = twin_of_a_join(build_family(family, n).lattice.poset)
+    checked, targets = poset_module._check_side(p)
+    assert (checked is p) == (side == "meet")
+    assert poset_module._meets_with(checked, targets) is None
+    witness = meet_table_or_message(p)
+    assert isinstance(witness, str)
+    with pytest.raises(NotALattice, match=f"^{re.escape(witness)}$"):
+        as_lattice(p)
+
+
+def test_as_lattice_never_returns_on_a_failed_check(monkeypatch):
+    monkeypatch.setattr(poset_module, "_meets_with", lambda poset, targets: None)
+    with pytest.raises(RuntimeError):
+        as_lattice(cube())
+
+
 def test_as_lattice_accepts_weak_orders():
     for n in range(1, 6):
         lat = weak_order_lattice(n)
@@ -440,6 +534,21 @@ def test_join_table_is_built_on_demand_and_shared_with_the_dual():
     small = as_lattice(cube())
     assert small.join_table is small.dual().meet_table
     assert small.dual().dual().join_table is small.join_table
+
+
+def test_meet_table_is_built_on_demand():
+    from mobiuslat import families
+    from mobiuslat.nbb import mobius_via_nbb, nbb_bases_of
+
+    fam = families.build_family.__wrapped__("C", 16)
+    nbb_bases_of(fam.canonical_order, fam.nbb_target)
+    rng = random.Random(16)
+    for _ in range(5):
+        mobius_via_nbb(shuffled_order(fam.nbb_lattice, rng))
+    fam.lattice.mobius_number()
+    assert not [key for key in fam.lattice._tables if key[0] == "meet"]
+    assert fam.lattice.meet_table is fam.lattice.dual().join_table
+    assert ("meet", 0) in fam.lattice._tables and ("meet", 1) not in fam.lattice._tables
 
 
 def test_shuffled_orders_leave_atoms_sorted():
