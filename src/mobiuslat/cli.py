@@ -75,12 +75,12 @@ def _dense_bytes(family: str, n: int) -> int:
     """Bytes of the N x N arrays a family lattice holds at once while built.
 
     The order matrix, the cover matrix and validation's strict copy take
-    one byte per entry; a meet table two, or four past 32767 elements.  The
-    lattice check builds no meet table, so only commands that read meets
-    hold one; the estimate still counts it.
+    one byte per entry.  No command builds a meet or join table: the
+    lattice check, the NBB search and the claims read meets and joins only
+    with irreducibles or atoms, N x k arrays.
     """
     count = _element_count(family, n)
-    return count * count * (3 + (2 if count <= 32767 else 4))
+    return count * count * 3
 
 
 # Peak bytes per element of B's table-free mobius: the walk's word columns

@@ -406,7 +406,8 @@ def theta_meet(n: int, indices) -> str:
 
     With all chosen positions pairwise at least 2 apart the meet is the
     word with 2s at positions i_t - (t-1); with any two adjacent positions
-    the meet collapses, so the lattice tables answer instead.
+    the meet collapses, so the lattice answers instead, through the joins of
+    the dual's atoms that the NBB search builds anyway.
     """
     idx = tuple(indices)
     if not idx or list(idx) != sorted(set(idx)) or idx[0] < 1 or idx[-1] > n - 1:
@@ -415,9 +416,8 @@ def theta_meet(n: int, indices) -> str:
         shifted = {i - t for t, i in enumerate(idx)}
         word = tuple(2 if p in shifted else 1 for p in range(1, n - len(idx) + 1))
         return word_label(word)
-    fam = build_family("C", n)
-    members = [fam.lattice.poset.index(word_label(theta(n, i))) for i in idx]
-    return fam.lattice.labels[fam.lattice.meet_of(members)]
+    lattice = build_family("C", n).nbb_lattice
+    return lattice.labels[_join_of_atoms(lattice, (word_label(theta(n, i)) for i in idx))]
 
 
 def predicted_nbb_bases(family: str, n: int) -> list[tuple[str, ...]]:
@@ -593,14 +593,12 @@ def verify_structure(n: int) -> list[ClaimResult]:
         claims.append(_claim("spread-swap-joins-product", "B", n, bad))
 
     if n >= 2:
-        fam_c = build_family("C", n)
+        dual_c = build_family("C", n).nbb_lattice
         bad = []
         for r in range(1, n):
             for subset in itertools.combinations(range(1, n), r):
-                members = [
-                    fam_c.lattice.poset.index(word_label(theta(n, i))) for i in subset
-                ]
-                table = fam_c.lattice.labels[fam_c.lattice.meet_of(members)]
+                coatoms = (word_label(theta(n, i)) for i in subset)
+                table = dual_c.labels[_join_of_atoms(dual_c, coatoms)]
                 spread = all(b - a >= 2 for a, b in zip(subset, subset[1:]))
                 expect = theta_meet(n, subset) if spread else BOTTOM_LABEL
                 if table != expect:

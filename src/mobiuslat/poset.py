@@ -27,24 +27,33 @@ and a finite bounded poset in which every pair has a meet is a lattice.
 By duality the joins with the join-irreducibles (one lower cover each) do
 as well, on the dual, and the check takes whichever set is smaller.
 
-The meets x ^ t with the targets t come going up a linear extension.  If
-x <= t the meet is x.  Otherwise any lower bound of {x, t} sits under some
-lower cover c of x, so x ^ t must be the largest of the c ^ t; when no
-single candidate dominates the others the meet does not exist.  The same
-step, with every element as a target, builds the total meet table, which
-names the first pair without a meet when the check fails.  The table is
-built in linear-extension coordinates, where the finished elements are a
-prefix and every access is a slice, and then mapped back to element
-indices in place.
+One kernel, `_meets_with`, computes every meet and join the package
+reads: the meets x ^ t of all elements x with given targets t, going up a
+linear extension.  If x <= t the meet is x.  Otherwise any lower bound of
+{x, t} sits under some lower cover c of x, so x ^ t must be the largest
+of the c ^ t; when no single candidate dominates the others the pair is
+flagged, for it has no meet.  The lattice check runs it with the
+irreducibles as targets, the meet table with every element, and the join
+table on the dual.  The NBB search reads only the joins x v a with the
+atoms a, which are the kernel on the dual with the atoms as targets.
+Every table is built only when asked for, and shared with the dual.
 
-Every table is lazy.  The meet table, and the join table, which is the
-meet table of the dual, are built only when asked for, and a lattice
-shares its tables with its dual.  The NBB search needs only the joins
-x v a with the atoms a, and those come from the upper covers, going down a
-linear extension: x v a is x when a <= x, and otherwise the earliest of
-the c v a over the upper covers c of x, because some upper cover c lies
-below x v a, giving c v a = x v a, and every other candidate lies above
-x v a.
+A failed check runs the kernel again with every element as a target, to
+name a witness: the pair without a meet whose later element comes
+earliest in the extension, then the earliest partner.  That run stops at
+the first flagged pair (x, t) with t before x, by row and then by t, and
+passes over flagged pairs with t after x.  Let R be the row it stops at.
+Entry (x, t) reads the entries (c, t) of the lower covers c of x, so an
+entry whose two elements both come before R reads only entries of that
+kind, with a smaller later element or the same one and an earlier row.
+By induction in that order each is the meet: its candidates are meets,
+so it is flagged exactly when the pair has none.  If t is before x, the
+entry is not flagged, as its row is before R.  If t is after x, neither
+is the entry (t, x), whose row is before R too and whose candidates have
+a smaller later element, so {x, t} has a meet.  So every pair before R
+has a meet, the entries of row R with earlier targets are flagged exactly
+when the pair has none, and the run names the pair the rule asks for; a
+run that stops nowhere flags nothing and completes the table.
 """
 
 from __future__ import annotations
@@ -70,8 +79,7 @@ class NotALattice(ValueError):
 # Work is chunked so that no temporary comes near N^2 bytes: the glibc heap
 # keeps what a large temporary freed, and peak RSS follows the largest one.
 _PAIR_CHUNK = 1 << 12  # comparable pairs gathered at once during validation
-_ENTRY_CHUNK = 1 << 16  # table entries remapped at once
-_RUN_CHUNK = 1 << 16  # candidate meets gathered at once by the lattice check
+_RUN_CHUNK = 1 << 16  # candidate meets gathered at once by the meet kernel
 
 
 def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -316,22 +324,22 @@ class BoundedLattice:
 
     @property
     def meet_table(self) -> np.ndarray:
-        return self._table("meet", self._side, lambda: _meet_table(self.poset))
+        every = np.arange(self.size)
+        return self._table("meet", self._side, lambda: _meets_with(self.poset, every))
 
     @property
     def join_table(self) -> np.ndarray:
-        return self._table("meet", 1 - self._side, lambda: _meet_table(self.poset.dual()))
+        return self.dual().meet_table
 
     def atom_join_columns(self) -> np.ndarray:
         """The k x N array of x v a, one row per atom a in `atoms()` order.
 
-        Built from the upper covers, not from the join table, going down a
-        linear extension.  If a <= x then x v a = x.  Otherwise x v a is the
-        earliest, in the extension, of the c v a over the upper covers c of
-        x: some upper cover c lies below x v a, which gives c v a = x v a,
-        and every other candidate lies above x v a, so later.
+        The meets of every element with the atoms on the dual, transposed:
+        the kernel's work follows the atom count, not N.
         """
-        return self._table("atom joins", self._side, lambda: _atom_join_columns(self))
+        return self._table(
+            "atom joins", self._side, lambda: _meets_with(self.poset.dual(), self.atoms()).T
+        )
 
     @property
     def size(self) -> int:
@@ -407,57 +415,8 @@ def _cover_pairs(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _lower_covers(poset: FinitePoset) -> list[np.ndarray]:
-    """Lower covers of each element, ascending."""
-    lo, hi = _cover_pairs(poset)
-    return np.split(lo, np.searchsorted(hi, np.arange(1, poset.size)))
-
-
-def _meet_table(poset: FinitePoset) -> np.ndarray:
-    """Total meet table, built in linear-extension coordinates.
-
-    While it is built, element ext[i] is called i, so the elements already
-    done at step i are 0..i-1 and every read and write is a slice; the
-    table is mapped back to element indices in place at the end.
-
-    No order matrix is read.  Every j before x = ext[i] has a down-set no
-    larger than x's, and x <= j would make the two down-sets equal, so x
-    lies below none of them.  If j <= x, then j lies under some lower cover
-    of x, that candidate is j itself and the others lie below j, so the
-    largest candidate is j; otherwise the largest candidate is the meet
-    when every other candidate lies below it, which the finished part of
-    the table answers: a <= b exactly when meet(a, b) == a.
-    """
-    n = poset.size
-    lower = _lower_covers(poset)
-    ext = poset._linear_extension()
-    pos = np.empty(n, dtype=np.intp)
-    pos[ext] = np.arange(n)
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    table = np.empty((n, n), dtype=dtype)
-    # ext[0] is the bottom (as_lattice checked there is one), the only
-    # element whose down-set has size 1
-    table[0, 0] = 0
-    for step in range(1, n):
-        covers = pos[lower[ext[step]]]
-        mv = table[covers, :step]
-        row = mv.max(axis=0)
-        if len(covers) > 1:
-            bad = ~(np.take(table, mv.astype(np.intp) * n + row) == mv).all(axis=0)
-            if bad.any():
-                x, y = ext[step], ext[int(bad.argmax())]
-                raise NotALattice(
-                    f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}"
-                )
-        table[step, :step] = row
-        table[:step, step] = row
-        table[step, step] = step
-    _unpermute(table, pos, ext.astype(dtype))
-    return table
-
-
-def _meets_with(poset: FinitePoset, targets: np.ndarray) -> np.ndarray | None:
-    """The N x len(targets) array of x ^ t, or None when some x ^ t does not exist.
+def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
+    """The N x len(targets) array of x ^ t; raises NotALattice when one is missing.
 
     The poset must have a bottom.  Going up a linear extension, x ^ t is x
     when x <= t.  Otherwise every lower bound of {x, t} lies under a lower
@@ -469,6 +428,12 @@ def _meets_with(poset: FinitePoset, targets: np.ndarray) -> np.ndarray | None:
     split further so that a run of several elements gathers at most
     _RUN_CHUNK candidate meets.  The columns are kept in extension
     coordinates and mapped back at the end.
+
+    A flagged pair whose target comes earlier than x stops the run; one
+    whose target comes later does not, since with every element a target
+    it may not be the first pair the module docstring's witness rule names.
+    The error names the first pair with an earlier target, by row and then
+    by the target's extension position, or else the first flagged pair.
     """
     n, width = poset.size, len(targets)
     ext = poset._linear_extension()
@@ -488,16 +453,29 @@ def _meets_with(poset: FinitePoset, targets: np.ndarray) -> np.ndarray | None:
     runs.append(n)
     dtype = np.int16 if n < 1 << 15 else np.int32
     under = poset.leq[np.ix_(ext, targets)]
+    at = pos[targets]
     cols = np.zeros((n, width), dtype=dtype)
+    witness = None
     for s, e in zip(runs, runs[1:]):
         cands = cols[lo[edges[s] : edges[e]]]
         starts = first[s:e] - edges[s]
         best = np.maximum.reduceat(cands, starts, axis=0)
         spread = np.repeat(best, np.diff(first[s : e + 1]), axis=0)
         below = poset.leq[ext[cands], ext[spread]]
-        if not (np.logical_and.reduceat(below, starts, axis=0) | under[s:e]).all():
-            return None
+        bad = ~(np.logical_and.reduceat(below, starts, axis=0) | under[s:e])
+        if bad.any():
+            rows, hit = np.nonzero(bad)
+            rows, hit = rows + s, at[hit]
+            i = int(np.argmin((hit > rows) * n * n + rows * n + hit))  # earlier targets first
+            early = hit[i] < rows[i]
+            if early or witness is None:
+                witness = ext[rows[i]], ext[hit[i]]
+            if early:
+                break
         cols[s:e] = np.where(under[s:e], np.arange(s, e, dtype=dtype)[:, None], best)
+    if witness is not None:
+        x, y = witness
+        raise NotALattice(f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}")
     return ext.astype(dtype)[cols[pos]]
 
 
@@ -516,59 +494,6 @@ def _check_side(poset: FinitePoset) -> tuple[FinitePoset, np.ndarray]:
     return poset, meet_irreducible
 
 
-def _atom_join_columns(lattice: BoundedLattice) -> np.ndarray:
-    """x v a for every element x and atom a; see `atom_join_columns`.
-
-    Built in extension coordinates, where the candidate of least rank is
-    the smallest position, then mapped back to element indices.
-    """
-    poset = lattice.poset
-    n = poset.size
-    ext = poset._linear_extension()
-    pos = np.empty(n, dtype=np.intp)
-    pos[ext] = np.arange(n)
-    upper = _lower_covers(poset.dual())
-    atoms = lattice.atoms()
-    above = poset.leq[np.ix_(atoms, ext)]
-    cols = np.empty((len(atoms), n), dtype=np.intp)
-    for step in range(n - 1, -1, -1):
-        ups = pos[upper[ext[step]]]
-        if len(ups):
-            cols[:, step] = np.where(above[:, step], step, cols[:, ups].min(axis=1))
-        else:  # the top, above every atom
-            cols[:, step] = step
-    return ext[cols[:, pos]]
-
-
-def _unpermute(table: np.ndarray, pos: np.ndarray, ext: np.ndarray) -> None:
-    """In place, table[a, b] <- ext[table[pos[a], pos[b]]].
-
-    Rows move along the cycles of pos with one row buffer; columns and
-    values are then mapped a chunk of rows at a time.
-    """
-    n = len(pos)
-    to = pos.tolist()
-    moved = [False] * n
-    buf = np.empty(n, dtype=table.dtype)
-    for start in range(n):
-        if moved[start]:
-            continue
-        buf[:] = table[start]
-        cur = start
-        while True:
-            moved[cur] = True
-            src = to[cur]
-            if src == start:
-                table[cur] = buf
-                break
-            table[cur] = table[src]
-            cur = src
-    step = max(1, _ENTRY_CHUNK // n)
-    for lo in range(0, n, step):
-        block = table[lo : lo + step]
-        block[:] = np.take(ext, np.take(block, pos, axis=1))
-
-
 def as_lattice(poset: FinitePoset) -> BoundedLattice:
     """Promote a poset to a lattice, or reject it with a witness.
 
@@ -577,8 +502,8 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     join-irreducibles j on the dual, whichever are fewer, which makes the
     poset a lattice (see the module docstring).  No table is built: both
     are left for `BoundedLattice` to build on demand.  On a failed check
-    the meet table is built to name the first pair, in extension order,
-    that lacks a meet.
+    the kernel runs again with every element as a target, to name the
+    first pair, in extension order, that lacks a meet.
     """
     n = poset.size
     bottoms = np.nonzero(poset._up_sizes == n)[0]
@@ -587,7 +512,9 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
         raise NotALattice("no unique minimum element")
     if len(tops) != 1:
         raise NotALattice("no unique maximum element")
-    if _meets_with(*_check_side(poset)) is None:
-        _meet_table(poset)  # raises NotALattice with the witness
-        raise RuntimeError("the lattice check failed, yet every meet exists")
+    try:
+        _meets_with(*_check_side(poset))
+    except NotALattice:
+        _meets_with(poset, np.arange(n))  # raises NotALattice with the witness
+        raise RuntimeError("the lattice check failed, yet every meet exists") from None
     return BoundedLattice(poset, int(bottoms[0]), int(tops[0]), {})

@@ -94,7 +94,7 @@ def test_mobius_bound_gate(capsys):
     ],
 )
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
-    # B at n=12 has 208 013 elements, and its dense tables alone are ~280 GiB;
+    # B at n=12 has 208 013 elements, and its dense tables alone are ~121 GiB;
     # B's table-free mobius at n=20 holds 6.6e9 elements at ~120 B each;
     # at n=600 (masks) and n=300 (dense) no float holds the byte count
     def unreachable(*args):
@@ -110,6 +110,12 @@ def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and "physical memory" in err
 
 
+def test_dense_estimate_counts_three_bytes_per_entry():
+    # order, covers and validation's strict copy, over the 16796 avoiders
+    # and the top; no command builds a meet table
+    assert cli._dense_bytes("B", 10) == 16797**2 * 3
+
+
 def test_memory_figures():
     assert cli._gib(282 * 2**30 + 2**29) == "282.5"
     assert cli._gib(10**6 * 2**30) == "1.0e+6"
@@ -122,7 +128,7 @@ def test_mobius_b_builds_no_lattice(capsys, monkeypatch):
         raise AssertionError("dense lattice built")
 
     monkeypatch.setattr(families, "build_family", unreachable)
-    monkeypatch.setattr(poset_module, "_meet_table", unreachable)
+    monkeypatch.setattr(poset_module, "_meets_with", unreachable)
     monkeypatch.setattr(poset_module.FinitePoset, "__init__", unreachable)
     code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "8..9"])
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN["mobius --family B --n 8..9"]
@@ -319,9 +325,9 @@ def test_hasse_builds_no_lattice_table(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("lattice checked or meet table built")
 
-    monkeypatch.setattr(poset_module, "_meet_table", refuse)
+    # the one meet kernel: the lattice check and every table run it
     monkeypatch.setattr(poset_module, "_meets_with", refuse)
-    # uncached, so a lattice built on the way would reach the patched table
+    # uncached, so a lattice built on the way would reach the patched kernel
     monkeypatch.setattr(cli, "build_family", families.build_family.__wrapped__)
     code, out, _ = run_capture(capsys, ["hasse", "--family", "B", "--n", "6", "--format", "json"])
     assert code == 0

@@ -502,6 +502,19 @@ def test_verify_all_small():
     assert failing.to_json_dict()["witness"] == "because"
 
 
+def test_verify_builds_no_meet_or_join_table():
+    # the claims read meets and joins through atom columns only: C's coatom
+    # meets are joins of the dual's atoms, B's swap joins are atom joins
+    families.build_family.cache_clear()
+    claims = verify_all(8, seed=0)
+    assert all(c.passed for c in claims)
+    cached = families.build_family.cache_info().currsize
+    lattices = [build_family(family, n).lattice for family in "ABC" for n in range(1, 9)]
+    assert families.build_family.cache_info().currsize == cached == len(lattices)
+    assert not [key for lat in lattices for key in lat._tables if key[0] == "meet"]
+    assert ("atom joins", 1) in build_family("C", 8).lattice._tables
+
+
 def test_long_labels_use_commas():
     fam = build_family("A", 10)
     assert any("," in lab for lab in fam.lattice.labels if lab != BOTTOM_LABEL)

@@ -21,6 +21,7 @@ from mobiuslat.nbb import (
 )
 from mobiuslat.permutation import _from_rows, _rows
 from mobiuslat.poset import FinitePoset, as_lattice
+from test_poset import meet_table_or_message
 
 
 def m3_lattice():
@@ -422,15 +423,19 @@ def test_seventy_atoms_stay_exact():
     column_case(shuffled_order(lat, random.Random(71)))
 
 
-# -- atom join columns against the join table --------------------------------
+# -- atom join columns against the join table and the brute force ------------
 
 
 def assert_atom_columns_match_join_table(lat):
-    # the columns come from the covers; the join table is the oracle
+    # the columns and the join table run the same meet kernel on the dual, so
+    # the brute-force table over upper bounds, which shares none of it, is
+    # the oracle for both
     for side in (lat, lat.dual()):
         cols = side.atom_join_columns()
+        brute = meet_table_or_message(side.poset.dual())
         assert cols.shape == (len(side.atoms()), side.size)
-        assert np.array_equal(cols, side.join_table[:, side.atoms()].T)
+        assert np.array_equal(cols, brute[:, side.atoms()].T)
+        assert np.array_equal(side.join_table, brute)
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])

@@ -76,10 +76,31 @@ def random_bounded_poset(rng, inner, density):
 
 
 def meet_table_or_message(p):
-    try:
-        return poset_module._meet_table(p)
-    except NotALattice as exc:
-        return str(exc)
+    """Oracle: the meet table by brute force from leq, or the NotALattice message.
+
+    The lower bounds of x and y are the m below both, and their greatest is
+    the one whose down-set holds them all, so the one with as many elements
+    below it as x and y have common lower bounds.  Without a meet somewhere
+    the message names the pair whose later element comes earliest in the
+    stable down-set-size order, then the earliest partner in that order.
+    """
+    leq = p.leq
+    n = p.size
+    as_float = leq.astype(np.float64)
+    common = as_float.T @ as_float  # the number of lower bounds of each pair, exactly
+    down = leq.sum(axis=0)
+    table = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        ms = np.flatnonzero(leq[:, x])
+        greatest = leq[ms] & (down[ms, None] == common[x])
+        table[x] = np.where(greatest.any(axis=0), ms[greatest.argmax(axis=0)], -1)
+    ext = np.argsort(down, kind="stable")
+    missing = np.tril(table[np.ix_(ext, ext)] < 0, -1)
+    if missing.any():
+        i = int(missing.any(axis=1).argmax())
+        x, y = ext[i], ext[int(missing[i].argmax())]
+        return f"no unique lower bound for {p.labels[x]!r}, {p.labels[y]!r}"
+    return table
 
 
 def test_from_covers_chain():
@@ -144,11 +165,14 @@ def test_constructor_leaves_the_callers_array_writable():
 
 
 def test_lower_covers_in_either_memory_order():
+    # the cover pairs come sorted by upper element, then by lower, whether
+    # the cover matrix is the poset's own array or the dual's transpose
     for p in (cube(), weak_order_lattice(4).poset):
         for q in (p, p.dual()):
-            lower = poset_module._lower_covers(q)
-            assert [c.tolist() for c in lower] == [
-                np.flatnonzero(q._covers_matrix[:, x]).tolist() for x in range(q.size)
+            lo, hi = poset_module._cover_pairs(q)
+            covers = q._covers_matrix
+            assert list(zip(hi.tolist(), lo.tolist())) == [
+                (x, c) for x in range(q.size) for c in np.flatnonzero(covers[:, x]).tolist()
             ]
 
 
@@ -417,28 +441,50 @@ def test_as_lattice_rejects_double_diamond_with_witness():
 @given(seed=st.integers(0, 2**32 - 1), inner=st.integers(0, 13), density=st.floats(0.05, 0.7))
 @example(seed=0, inner=8, density=0.3)  # a lattice
 @example(seed=7, inner=8, density=0.3)  # not a lattice
+@example(seed=76, inner=8, density=0.3)  # the partner by extension position, not by index
 @settings(max_examples=150, deadline=None)
 def test_lattice_check_matches_meet_table(seed, inner, density):
     # on each orientation the irreducible check, and the kernel with every
-    # element as a target, pass exactly when the meet table completes, and
-    # give its columns; as_lattice fails with the meet table's witness
+    # element as a target, pass exactly when the brute-force table completes,
+    # and give its columns; with every element a target the kernel fails
+    # with the oracle's witness, and so does as_lattice
     p = random_bounded_poset(np.random.default_rng(seed), inner, density)
     for side in (p, p.dual()):
         table = meet_table_or_message(side)
         upper = [lo for lo, _ in side.covers()]
         irreducible = np.array([x for x in range(side.size) if upper.count(x) == 1], dtype=np.intp)
         for targets in (irreducible, np.arange(side.size)):
-            cols = poset_module._meets_with(side, targets)
             if isinstance(table, str):
-                assert cols is None
+                with pytest.raises(NotALattice) as failed:
+                    poset_module._meets_with(side, targets)
+                if len(targets) == side.size:
+                    assert str(failed.value) == table
             else:
-                assert np.array_equal(cols, table[:, targets])
+                assert np.array_equal(poset_module._meets_with(side, targets), table[:, targets])
         try:
             as_lattice(side)
             verdict = None
         except NotALattice as exc:
             verdict = str(exc)
         assert verdict == (table if isinstance(table, str) else None)
+
+
+def test_check_that_flags_only_later_targets_still_fails():
+    # x and m share the lower bounds p and q.  The check meets with m, u and
+    # v, and every pair it flags, (x, m), (m, u) and (m, v), has its target
+    # after its row, so only the end of the run can fail it
+    p = FinitePoset.from_covers(
+        "0pqxmuv1",
+        [("0", "p"), ("0", "q"), ("p", "x"), ("q", "x"), ("p", "m"), ("q", "m"),
+         ("x", "u"), ("x", "v"), ("u", "1"), ("v", "1"), ("m", "1")],
+    )
+    checked, targets = poset_module._check_side(p)
+    assert checked is p and [p.labels[t] for t in targets] == ["m", "u", "v"]
+    with pytest.raises(NotALattice, match="^no unique lower bound for 'x', 'm'$"):
+        poset_module._meets_with(checked, targets)
+    assert meet_table_or_message(p) == "no unique lower bound for 'm', 'x'"
+    with pytest.raises(NotALattice, match="^no unique lower bound for 'm', 'x'$"):
+        as_lattice(p)
 
 
 def test_lattice_check_examples_are_a_lattice_and_not_one():
@@ -468,7 +514,8 @@ def test_as_lattice_rejects_a_twin_with_the_meet_table_witness(family, n, side):
     p = twin_of_a_join(build_family(family, n).lattice.poset)
     checked, targets = poset_module._check_side(p)
     assert (checked is p) == (side == "meet")
-    assert poset_module._meets_with(checked, targets) is None
+    with pytest.raises(NotALattice):
+        poset_module._meets_with(checked, targets)
     witness = meet_table_or_message(p)
     assert isinstance(witness, str)
     with pytest.raises(NotALattice, match=f"^{re.escape(witness)}$"):
@@ -476,9 +523,19 @@ def test_as_lattice_rejects_a_twin_with_the_meet_table_witness(family, n, side):
 
 
 def test_as_lattice_never_returns_on_a_failed_check(monkeypatch):
-    monkeypatch.setattr(poset_module, "_meets_with", lambda poset, targets: None)
+    # the check fails, then the run with every element as a target finds no pair
+    calls = []
+
+    def check_fails_first(poset, targets):
+        calls.append(len(targets))
+        if len(calls) == 1:
+            raise NotALattice("the check failed")
+        return np.zeros((poset.size, len(targets)), dtype=np.int16)
+
+    monkeypatch.setattr(poset_module, "_meets_with", check_fails_first)
     with pytest.raises(RuntimeError):
         as_lattice(cube())
+    assert calls == [3, 8]
 
 
 def test_as_lattice_accepts_weak_orders():
