@@ -40,11 +40,11 @@ from .permutation import (
     avoiders_321,
     contains_pattern,
     enumerate_avoiders,
+    format_word,
     inversion_limbs,
-    inversion_mask,
     weak_join,
 )
-from .permutation import _rows, pair_index
+from .permutation import _avoider_words, _contains_rows, _rows, pair_index
 from .poset import BoundedLattice, FinitePoset, as_lattice
 
 BOTTOM_LABEL = "0̂"
@@ -104,7 +104,11 @@ _LIMB = 0xFFFFFFFFFFFFFFFF
 
 
 def _pack(masks: list[int]) -> np.ndarray:
-    """Masks as rows of 64-bit limbs, as many limbs as the widest one needs."""
+    """Masks as rows of 64-bit limbs, as many limbs as the widest one needs.
+
+    C's partial-sum masks take this path; inversion masks are packed
+    straight from word arrays by `inversion_limbs`, in the same layout.
+    """
     shifts = range(0, max(m.bit_length() for m in masks) or 1, 64)
     packed = np.empty((len(masks), len(shifts)), dtype=np.uint64)
     for limb, s in enumerate(shifts):
@@ -292,10 +296,10 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
     """The validated order of one family, its adjoined label and its elements.
 
     Each is its members' bitmasks under containment plus the adjoined
-    bound: inversion masks for A and B, partial-sum masks for C.  B's
-    masks are packed straight from the walk's word array, whose rows are
-    also its members.  No lattice table is built, so what needs only the
-    order stops here.
+    bound: inversion masks for A and B, packed from an array of their
+    words, and partial-sum masks for C.  B's word array is the walk's,
+    whose rows are also its members.  No lattice table is built, so what
+    needs only the order stops here.
     """
     if family not in ("A", "B", "C"):
         raise ValueError(f"unknown family {family!r}")
@@ -310,7 +314,8 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
         labels, packed = [str(m) for m in members], inversion_limbs(words)[0]
     else:
         members = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
-        labels, packed = [str(m) for m in members], _pack([inversion_mask(m) for m in members])
+        words = np.array([m.word for m in members])
+        labels, packed = [str(m) for m in members], inversion_limbs(words)[0]
     leq = np.zeros((len(members) + 1,) * 2, dtype=bool)
     if family == "B":
         leq[:, -1] = True
@@ -333,10 +338,10 @@ def build_family(family: str, n: int) -> FamilyLattice:
 @lru_cache(maxsize=None)
 def weak_order_lattice(n: int) -> BoundedLattice:
     """All of S_n under the weak order, as a lattice."""
-    perms = enumerate_avoiders(n, [])
-    leq = np.empty((len(perms), len(perms)), dtype=bool)
-    _containment_order(_pack([inversion_mask(p) for p in perms]), leq)
-    return as_lattice(FinitePoset([str(p) for p in perms], leq))
+    words = _avoider_words(n)
+    leq = np.empty((len(words), len(words)), dtype=bool)
+    _containment_order(inversion_limbs(words)[0], leq)
+    return as_lattice(FinitePoset([format_word(w) for w in words.tolist()], leq))
 
 
 # -- the A/C correspondence ----------------------------------------------
@@ -497,8 +502,7 @@ def _closure_failures(members, patterns, upward: bool) -> list[str]:
     """Upper (or lower) covers of the members that contain one of the patterns.
 
     One line per such cover, in member order and, per member, by the k of
-    the swapped values k, k+1: the order in which `upper_covers` and
-    `lower_covers` list them.
+    the swapped values k, k+1.
     """
     covers, rows, ks = _cover_words(np.array([p.word for p in members], dtype=np.int8), upward)
     hit = np.zeros(len(covers), dtype=bool)
@@ -617,23 +621,6 @@ def _join_of_atoms(lattice: BoundedLattice, labels) -> int:
     return acc
 
 
-def _lex_permutations(n: int) -> np.ndarray:
-    """The n! words of [n] as rows of an int8 array, in lexicographic order.
-
-    Built up by degree: the words of [m] that start with v are v followed by
-    the words of [m-1] with every value from v up raised by one.
-    """
-    words = np.ones((1, 1), dtype=np.int8)
-    for m in range(2, n + 1):
-        out = np.empty((m * len(words), m), dtype=np.int8)
-        for v in range(1, m + 1):
-            block = out[(v - 1) * len(words) : v * len(words)]
-            block[:, 0] = v
-            block[:, 1:] = words + (words >= v)
-        words = out
-    return words
-
-
 def _chained_inversion_disagreement(n: int) -> list[str]:
     """Failures of chained-inversion-characterization: the first disagreeing word, if any.
 
@@ -644,43 +631,12 @@ def _chained_inversion_disagreement(n: int) -> list[str]:
     against 321.  Its own function, so the n! words die before the lattices
     that the next claims build.
     """
-    words = _lex_permutations(n)
+    words = _avoider_words(n)
     differ = np.flatnonzero(_has_chained_inversions(words) != _contains_rows(words, (3, 2, 1)))
     if not len(differ):
         return []
     first = Permutation(tuple(words[differ[0]].tolist()))
     return [f"{first}: chained inversions disagree with containment"]
-
-
-def _contains_rows(words: np.ndarray, pat_word) -> np.ndarray:
-    """Per row of an (N, n) array of words: does some subsequence order like the pattern?
-
-    The definition of containment, on whole columns: for every k-subset of
-    positions, the AND of the comparison the pattern demands between each
-    pair of its entries, ORed into the answer.  Subsets are walked in lex
-    order, and a shared prefix of positions keeps its AND, so besides a
-    column-major copy of the words only one length-N array per depth is
-    alive.  A pattern longer than the words gives all False.
-    """
-    k, (count, n) = len(pat_word), words.shape
-    found = np.zeros(count, dtype=bool)
-    if k > n:
-        return found
-    cols = np.ascontiguousarray(words.T)
-
-    def extend(match, chosen: tuple[int, ...]) -> None:
-        d = len(chosen)
-        if d == k:
-            found[...] |= match
-            return
-        for j in range(chosen[-1] + 1 if chosen else 0, n - k + d + 1):
-            m = match
-            for a, i in enumerate(chosen):
-                m = m & (cols[i] < cols[j] if pat_word[a] < pat_word[d] else cols[i] > cols[j])
-            extend(m, chosen + (j,))
-
-    extend(np.ones(count, dtype=bool), ())
-    return found
 
 
 def _has_chained_inversions(words: np.ndarray) -> np.ndarray:

@@ -11,35 +11,33 @@ closure serves both, and one decoder turns rows back into a permutation,
 rejecting rows that are no inversion set.  Both constructions are
 cross-checked against exhaustive bound search in the test suite.
 
-Avoiders are enumerated by extending prefixes in lex order.  For the two
-pattern sets of the families the walk visits only live prefixes, those
-that some avoider extends.
+Avoiders are listed by degree, in lex order.  The words of [m] that
+start with v are v followed by a word of [m-1] with every value from v up
+raised by one.  `_avoider_words` takes as those words of [m-1] only the
+avoiders of [m-1], and then drops the candidates that hold a pattern.  No
+avoider is lost: the entries of an avoider of [m] after its first,
+standardized, form a word of [m-1], and an occurrence of a pattern in it
+would be one in the avoider too, so it is an avoider of [m-1] and the
+avoider is among the candidates.  Whole arrays of candidates are tested at
+once by `_contains_rows`; `contains_pattern` is the same definition on
+one word, and the oracle it is tested against.
 
-321 (family B).  Call w_j a non-maximum when some earlier value exceeds
-it.  In a 321-avoider the non-maxima increase: for non-maxima a before b
-with a > b, the value c > a earlier than a makes c a b a 321.  A
-321-free prefix with running maximum M, whose last non-maximum is t (0 if
-none), is live exactly when every unplaced value exceeds t.  If some
-unplaced u < t, then c t u is a 321 for the c > t before t.  Otherwise
-append the unplaced values in increasing order: each is a maximum or
-exceeds t, so the non-maxima still increase, and a 321 c b a would make
-b and a non-maxima with b > a.  Appending v to a live prefix gives a live
-prefix exactly when v > M (a new maximum, t unchanged) or v is the
-smallest unplaced value s (v becomes the last non-maximum and every value
-still unplaced exceeds it).  An unplaced v < M other than s leaves s < v
-unplaced behind the non-maximum v.  So the walk extends by s, when
-s < M, and by every value above M, and every node it visits is live.
-
-123, 132, 213 (family A).  The anchored checks stay, and two rules drop
-dead prefixes before them, each because every completion holds a pattern.
-Rule 1: a placed x with two larger values y < z still unplaced is
-followed by x y z (a 123) or x z y (a 132).  Rule 2: a placed inversion
-b ... a (b > a) with an unplaced c > b is followed by b a c, a 213.  Both
-only weaken as values are placed, so each is checked on the value just
-appended.  Rule 1 leaves only the two largest unplaced values m' < m as
-candidates.  Appending m creates inversions only with larger placed
-values, above which nothing is unplaced; appending m' inverts it with every
-placed value between m' and m, so rule 2 allows m' exactly when m = m' + 1.
+321 (family B) also has a walk of its own, `avoiders_321`, which visits
+only live prefixes, those that some avoider extends.  Call w_j a
+non-maximum when some earlier value exceeds it.  In a 321-avoider the
+non-maxima increase: for non-maxima a before b with a > b, the value
+c > a earlier than a makes c a b a 321.  A 321-free prefix with running
+maximum M, whose last non-maximum is t (0 if none), is live exactly when
+every unplaced value exceeds t.  If some unplaced u < t, then c t u is a
+321 for the c > t before t.  Otherwise append the unplaced values in
+increasing order: each is a maximum or exceeds t, so the non-maxima still
+increase, and a 321 c b a would make b and a non-maxima with b > a.
+Appending v to a live prefix gives a live prefix exactly when v > M (a
+new maximum, t unchanged) or v is the smallest unplaced value s (v
+becomes the last non-maximum and every value still unplaced exceeds it).
+An unplaced v < M other than s leaves s < v unplaced behind the
+non-maximum v.  So the walk extends by s, when s < M, and by every value
+above M, and every node it visits is live.
 """
 
 from __future__ import annotations
@@ -102,11 +100,6 @@ def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
-def reversal(n: int) -> Permutation:
-    """The word n, n-1, ..., 1: the maximum of the weak order."""
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def adjacent_transposition(n: int, i: int) -> Permutation:
     """The identity with positions i and i+1 swapped, 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
@@ -114,11 +107,6 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
     word = list(range(1, n + 1))
     word[i - 1], word[i] = word[i], word[i - 1]
     return Permutation(tuple(word))
-
-
-def reverse(p: Permutation) -> Permutation:
-    """Flip the word left to right; an involution that dualizes the order."""
-    return Permutation(p.word[::-1])
 
 
 def inversion_set(p: Permutation) -> frozenset[tuple[int, int]]:
@@ -249,71 +237,22 @@ def weak_meet(p: Permutation, q: Permutation) -> Permutation:
     return _from_rows([w ^ r for w, r in zip(_rows(n, full), reach)])
 
 
-def _ends_with_pattern(word, pat_word) -> bool:
-    """Does some subsequence ending at the last position match the pattern?
-
-    Patterns of length 3 take one pass over the prefix.  For
-    pat = a b c, walk the middle position j, keep the values seen before j
-    as bits of an integer, and where w_j sits on the side of the new value
-    v that b sits of c, test with one mask whether an earlier value falls
-    in the open interval that a demands among w_j and v.  Patterns of any
-    other length go to the subset search, which is linear for length 1 or 2.
-    """
-    if len(pat_word) != 3:
-        return _ends_with_pattern_oracle(word, pat_word)
-    last = len(word) - 1
-    if last < 2:
-        return False
-    v = word[-1]
-    a, b, c = pat_word
-    mid_above = b > c
-    # w_i lies strictly between a lower end lo and an upper end hi, each w_j,
-    # v or open; those values are the bits (1 << hi) - (2 << lo), where an
-    # open top contributes 0 and an open bottom is lo = 0 (values start at 1)
-    lo_j = c < b < a or b < a < c
-    lo_v = b < c < a or c < a < b
-    hi_j = a < b < c or c < a < b
-    hi_v = a < c < b or b < a < c
-    lo_fixed = 2 << v if lo_v else 2
-    hi_fixed = 1 << v if hi_v else 0
-    seen = 0
-    for wj in word[:last]:
-        if (wj > v) == mid_above:
-            lo = 2 << wj if lo_j else lo_fixed
-            hi = 1 << wj if hi_j else hi_fixed
-            if seen & (hi - lo):
-                return True
-        seen |= 1 << wj
-    return False
-
-
-def _ends_with_pattern_oracle(word, pat_word) -> bool:
-    """Subset search behind _ends_with_pattern: every (k-1)-subset of the prefix."""
-    L, k = len(word), len(pat_word)
-    if L < k:
-        return False
-    for idxs in itertools.combinations(range(L - 1), k - 1):
-        vals = tuple(word[i] for i in idxs) + (word[-1],)
-        if all(
-            (vals[a] < vals[b]) == (pat_word[a] < pat_word[b])
-            for a in range(k)
-            for b in range(a + 1, k)
-        ):
-            return True
-    return False
-
-
 def contains_pattern(p: Permutation, pat: Permutation) -> bool:
     """Classical containment: some subsequence of p orders like pat.
+
+    The definition, one k-subset of positions at a time.
 
     >>> contains_pattern(Permutation((3, 1, 2)), Permutation((3, 2, 1)))
     False
     """
-    w, pw = p.word, pat.word
-    if len(pw) > len(w):
-        return False
-    for end in range(len(pw) - 1, len(w)):
-        if _ends_with_pattern(w[: end + 1], pw):
+    pw = pat.word
+    # each pair of positions in the pattern, and whether its entries ascend
+    demands = [(a, b, pw[a] < pw[b]) for a, b in itertools.combinations(range(len(pw)), 2)]
+    for vals in itertools.combinations(p.word, len(pw)):
+        for a, b, ascends in demands:
+            if (vals[a] < vals[b]) != ascends:
+                break
+        else:
             return True
     return False
 
@@ -332,49 +271,63 @@ def standardize(word) -> Permutation:
 
 
 def enumerate_avoiders(n: int, pats) -> list[Permutation]:
-    """All permutations of [n] avoiding every given pattern, in lex order.
-
-    The pattern sets of families A and B have walks of their own that visit
-    live prefixes only (see the module docstring); any other set goes to
-    the anchored search.
-    """
+    """All permutations of [n] avoiding every given pattern, in lex order."""
     if n < 1:
         raise ValueError("degree must be positive")
-    pat_words = frozenset(p.word for p in pats)
-    walk = _WALKS.get(pat_words)
-    words = _anchored_search(n, pat_words) if walk is None else walk(n)
-    return [Permutation(w) for w in words]
+    return [Permutation(tuple(w)) for w in _avoider_words(n, {p.word for p in pats}).tolist()]
 
 
-def _anchored_search(n: int, pat_words) -> list[tuple[int, ...]]:
-    """Words of [n] avoiding every pattern word, in lex order: the generic search.
+def _avoider_words(n: int, pat_words=()) -> np.ndarray:
+    """The words of [n] avoiding every pattern word, as rows of an array, in lex order.
 
-    Prefix-pruned: a prefix already containing a pattern cannot be
-    completed to an avoider, and a new occurrence must use the freshly
-    appended position, so only anchored checks run per extension.  It
-    stands behind every pattern set without a walk of its own, and is the
-    oracle the walks are tested against.
+    Built up by degree, as the module docstring shows: the candidates of
+    degree m are each v followed by an avoider of [m-1] with every value
+    from v up raised by one, and those holding a pattern are dropped.  With
+    no patterns that lists all n! words.  The dtype is the smallest that
+    holds n.
     """
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-    used = [False] * (n + 1)
+    words = np.empty((1, 0), dtype=np.min_scalar_type(n))
+    for m in range(1, n + 1):
+        out = np.empty((m * len(words), m), dtype=words.dtype)
+        for v in range(1, m + 1):
+            block = out[(v - 1) * len(words) : v * len(words)]
+            block[:, 0] = v
+            block[:, 1:] = words + (words >= v)
+        words = out
+        for pw in pat_words:
+            words = words[~_contains_rows(words, pw)]
+    return words
 
-    def grow():
-        if len(word) == n:
-            out.append(tuple(word))
+
+def _contains_rows(words: np.ndarray, pat_word) -> np.ndarray:
+    """Per row of an (N, n) array of words: does some subsequence order like the pattern?
+
+    The definition of containment, on whole columns: for every k-subset of
+    positions, the AND of the comparison the pattern demands between each
+    pair of its entries, ORed into the answer.  Subsets are walked in lex
+    order, and a shared prefix of positions keeps its AND, so besides a
+    column-major copy of the words only one length-N array per depth is
+    alive.  A pattern longer than the words gives all False.
+    """
+    k, (count, n) = len(pat_word), words.shape
+    found = np.zeros(count, dtype=bool)
+    if k > n:
+        return found
+    cols = np.ascontiguousarray(words.T)
+
+    def extend(match, chosen: tuple[int, ...]) -> None:
+        d = len(chosen)
+        if d == k:
+            found[...] |= match
             return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            word.append(v)
-            if not any(_ends_with_pattern(word, pw) for pw in pat_words):
-                used[v] = True
-                grow()
-                used[v] = False
-            word.pop()
+        for j in range(chosen[-1] + 1 if chosen else 0, n - k + d + 1):
+            m = match
+            for a, i in enumerate(chosen):
+                m = m & (cols[i] < cols[j] if pat_word[a] < pat_word[d] else cols[i] > cols[j])
+            extend(m, chosen + (j,))
 
-    grow()
-    return out
+    extend(np.ones(count, dtype=bool), ())
+    return found
 
 
 def avoiders_321(n: int) -> np.ndarray:
@@ -442,60 +395,3 @@ def inversion_limbs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             octets[bit >> 3] |= above.view(np.uint8) << (bit & 7)
             bit += 1
     return np.ascontiguousarray(octets.T).view("<u8"), counts
-
-
-def _walk_123_132_213(n: int) -> list[tuple[int, ...]]:
-    """Words of the avoiders of 123, 132 and 213: the anchored search, pruned.
-
-    Only the two largest unplaced values are tried (rule 1), the lower one
-    only when no placed value lies between them (rule 2); the anchored
-    checks still run on every extension.
-    """
-    word: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def grow(free: int):
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        top = free.bit_length() - 1
-        second = (free ^ (1 << top)).bit_length() - 1
-        for v in (second, top):
-            if v < 1 or (v == second and top > second + 1):
-                continue
-            word.append(v)
-            if not any(_ends_with_pattern(word, pw) for pw in _TRIPLE):
-                grow(free ^ (1 << v))
-            word.pop()
-
-    grow(((1 << n) - 1) << 1)
-    return out
-
-
-_TRIPLE = ((1, 2, 3), (1, 3, 2), (2, 1, 3))
-_WALKS = {
-    frozenset({(3, 2, 1)}): lambda n: [tuple(w) for w in avoiders_321(n).tolist()],
-    frozenset(_TRIPLE): _walk_123_132_213,
-}
-
-
-def _value_swap(w, k) -> Permutation:
-    # exchanging the consecutive values k, k+1 flips exactly one pair,
-    # so the result is a cover neighbour in the containment order
-    pos_k = w.index(k)
-    pos_k1 = w.index(k + 1)
-    nw = list(w)
-    nw[pos_k], nw[pos_k1] = nw[pos_k1], nw[pos_k]
-    return Permutation(tuple(nw))
-
-
-def upper_covers(p: Permutation) -> list[Permutation]:
-    """Permutations whose inversion set adds exactly one pair to p's."""
-    w = p.word
-    return [_value_swap(w, k) for k in range(1, len(w)) if w.index(k) < w.index(k + 1)]
-
-
-def lower_covers(p: Permutation) -> list[Permutation]:
-    """Permutations whose inversion set drops exactly one pair from p's."""
-    w = p.word
-    return [_value_swap(w, k) for k in range(1, len(w)) if w.index(k) > w.index(k + 1)]

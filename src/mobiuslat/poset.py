@@ -222,14 +222,6 @@ class FinitePoset:
         d._mobius_cols = {}
         return d
 
-    def interval(self, x, z) -> "FinitePoset":
-        """The subposet {y : x <= y <= z}."""
-        xi, zi = self._as_index(x), self._as_index(z)
-        if not self.leq[xi, zi]:
-            raise NotComparable(f"{self.labels[xi]} is not below {self.labels[zi]}")
-        idx = np.nonzero(self.leq[xi] & self.leq[:, zi])[0]
-        return FinitePoset([self.labels[i] for i in idx], self.leq[np.ix_(idx, idx)])
-
     # -- Mobius values ------------------------------------------------------
 
     def _linear_extension(self) -> np.ndarray:
@@ -269,14 +261,6 @@ class FinitePoset:
         if not self.leq[xi, zi]:
             raise NotComparable(f"{self.labels[xi]} is not below {self.labels[zi]}")
         return int(self._mobius_from(xi)[zi])
-
-    def mobius_matrix(self) -> np.ndarray:
-        """Full matrix of mu(x, y); the integer inverse of the order matrix."""
-        n = self.size
-        out = np.empty((n, n), dtype=np.int64)
-        for xi in range(n):
-            out[xi] = self._mobius_from(xi)
-        return out
 
     def to_dot(self) -> str:
         """DOT digraph of the Hasse diagram, edges from covered to covering."""
@@ -393,10 +377,6 @@ class BoundedLattice:
         """
         dual_poset = self.poset.dual()
         return BoundedLattice(dual_poset, self.top, self.bottom, self._tables, 1 - self._side)
-
-    def interval_lattice(self, x, z) -> "BoundedLattice":
-        """The interval [x, z] as a lattice in its own right."""
-        return as_lattice(self.poset.interval(x, z))
 
 
 def _cover_pairs(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:

@@ -512,3 +512,16 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "1 + 3*q + 1*q^2" in proc.stdout
+
+
+def test_readme_library_lists_exactly_the_exports():
+    # the bullets of the README's export list, less the module name leading each
+    import mobiuslat
+
+    readme = (ROOT / "README.md").read_text()
+    listing = readme.split("Everything the package exports", 1)[1].split("\n\n", 2)[1]
+    named = set()
+    for bullet in listing.split("\n- "):
+        named |= set(re.findall(r"`(\w+)`", bullet)[1:])
+    assert named == set(mobiuslat.__all__)
+    assert all(hasattr(mobiuslat, name) for name in mobiuslat.__all__)

@@ -37,19 +37,18 @@ from mobiuslat.families import (
 from mobiuslat.families import (
     _closure_failures,
     _containment_order,
-    _contains_rows,
     _cover_words,
     _family_poset,
     _has_chained_inversions,
     _join_swap,
-    _lex_permutations,
     _mobius_by_rank,
     _mobius_identity_claim,
     _pack,
 )
 from mobiuslat.permutation import (
     Permutation,
-    _anchored_search,
+    _avoider_words,
+    _contains_rows,
     _from_rows,
     _rows,
     avoiders_321,
@@ -58,12 +57,11 @@ from mobiuslat.permutation import (
     inversion_limbs,
     inversion_mask,
     inversion_set,
-    lower_covers,
-    upper_covers,
     weak_join,
     weak_leq,
 )
 from mobiuslat.poset import FinitePoset
+from test_permutation import lower_covers, permutation_filter, upper_covers
 
 
 def labels_of(fam):
@@ -526,6 +524,28 @@ def test_weak_order_lattice_sizes():
     assert weak_order_lattice(1).size == 1
 
 
+def per_word_order(perms):
+    """Containment of inversion masks taken one Permutation at a time."""
+    leq = np.empty((len(perms), len(perms)), dtype=bool)
+    _containment_order(_pack([inversion_mask(p) for p in perms]), leq)
+    return leq
+
+
+def test_word_array_builds_match_per_word_masks():
+    # A and S_n pack their masks from word arrays; the per-word masks are the oracle
+    for n in range(1, 10):
+        poset, _, elements = _family_poset("A", n)
+        members = enumerate_avoiders(n, AVOIDED_PATTERNS["A"])
+        assert elements == (None,) + tuple(members)
+        assert poset.labels == (BOTTOM_LABEL,) + tuple(str(p) for p in members)
+        assert np.array_equal(poset.leq[1:, 1:], per_word_order(members)) and poset.leq[0].all()
+    for n in range(1, 7):
+        poset = weak_order_lattice(n).poset
+        perms = enumerate_avoiders(n, [])
+        assert poset.labels == tuple(str(p) for p in perms)
+        assert np.array_equal(poset.leq, per_word_order(perms))
+
+
 def test_chained_inversion_predicate_matches_per_word_loop():
     for n in range(1, 8):
         words = list(itertools.permutations(range(1, n + 1)))
@@ -569,10 +589,11 @@ def word_array(perms):
 
 
 def test_lex_permutations_match_itertools():
+    # the avoiders of no pattern: all n! words, which the chained-inversion claim reads
     for n in range(1, 8):
         expect = list(itertools.permutations(range(1, n + 1)))
-        got = _lex_permutations(n)
-        assert got.dtype == np.int8 and got.shape == (len(expect), n)
+        got = _avoider_words(n)
+        assert got.dtype == np.uint8 and got.shape == (len(expect), n)
         assert [tuple(w) for w in got.tolist()] == expect
 
 
@@ -631,13 +652,16 @@ def test_closure_failures_match_the_list_comprehension():
 
 @pytest.mark.parametrize("family", ["A", "B"])
 def test_family_order_matches_a_build_from_the_generic_search(monkeypatch, family):
-    # the cached lattices are read before the patch, so none is built from it
+    # the cached lattices are read before the patch, so none is built from it;
+    # A's members come from enumerate_avoiders and B's from avoiders_321, and
+    # the patch hands both the words of S_n that hold no pattern
     built = {n: build_family(family, n).lattice.poset for n in range(1, 9)}
 
     def generic(n, pats):
-        return [Permutation(w) for w in _anchored_search(n, [p.word for p in pats])]
+        return [Permutation(tuple(w)) for w in permutation_filter(n, [p.word for p in pats]).tolist()]
 
     monkeypatch.setattr(families, "enumerate_avoiders", generic)
+    monkeypatch.setattr(families, "avoiders_321", lambda n: permutation_filter(n, [(3, 2, 1)]))
     for n, poset in built.items():
         oracle = _family_poset(family, n)[0]
         assert poset.labels == oracle.labels

@@ -21,7 +21,7 @@ from mobiuslat.nbb import (
 )
 from mobiuslat.permutation import _from_rows, _rows
 from mobiuslat.poset import FinitePoset, as_lattice
-from test_poset import meet_table_or_message
+from test_poset import interval_lattice, meet_table_or_message
 
 
 def m3_lattice():
@@ -369,7 +369,7 @@ def test_random_intervals_of_s5():
         z = rng.randrange(p.size)
         if x == z or not p.leq[x, z]:
             continue
-        sub = lat.interval_lattice(x, z)
+        sub = interval_lattice(lat, x, z)
         order = shuffled_order(sub, rng)
         assert mobius_via_nbb(order) == p.mobius(x, z)
         done += 1

@@ -21,29 +21,56 @@ from mobiuslat.permutation import (
     from_inversion_set,
     identity,
     inversion_limbs,
+    format_word,
     inversion_mask,
     inversion_set,
-    lower_covers,
-    reversal,
-    reverse,
     standardize,
-    upper_covers,
     weak_join,
     weak_leq,
     weak_meet,
 )
-from mobiuslat.permutation import (
-    _WALKS,
-    _anchored_search,
-    _ends_with_pattern,
-    _ends_with_pattern_oracle,
-)
+from mobiuslat.permutation import _avoider_words, _contains_rows
 
 P = Permutation
 
 
 def all_perms(n):
     return enumerate_avoiders(n, [])
+
+
+# -- the weak order's reversal and covers, which only the tests use ---------
+
+
+def reversal(n):
+    """The word n, n-1, ..., 1: the maximum of the weak order."""
+    return P(tuple(range(n, 0, -1)))
+
+
+def reverse(p):
+    """Flip the word left to right; an involution that dualizes the order."""
+    return P(p.word[::-1])
+
+
+def _value_swap(w, k):
+    # exchanging the consecutive values k, k+1 flips exactly one pair,
+    # so the result is a cover neighbour in the containment order
+    pos_k = w.index(k)
+    pos_k1 = w.index(k + 1)
+    nw = list(w)
+    nw[pos_k], nw[pos_k1] = nw[pos_k1], nw[pos_k]
+    return P(tuple(nw))
+
+
+def upper_covers(p):
+    """Permutations whose inversion set adds exactly one pair to p's."""
+    w = p.word
+    return [_value_swap(w, k) for k in range(1, len(w)) if w.index(k) < w.index(k + 1)]
+
+
+def lower_covers(p):
+    """Permutations whose inversion set drops exactly one pair from p's."""
+    w = p.word
+    return [_value_swap(w, k) for k in range(1, len(w)) if w.index(k) > w.index(k + 1)]
 
 
 def test_constructor_validates():
@@ -297,18 +324,9 @@ def test_enumerate_avoiders_no_patterns_gives_factorial():
         assert len(all_perms(n)) == math.factorial(n)
 
 
-# -- the linear anchored check against the subset search it replaced -------------
+# -- containment on one word and on arrays of words --------------------------
 
 SHORT_PATTERNS = [P(w) for k in (1, 2, 3) for w in itertools.permutations(range(1, k + 1))]
-
-
-def test_anchored_check_matches_oracle_exhaustively():
-    # every injective word over [7] of length <= 7: the prefixes enumeration checks at n=7
-    for length in range(1, 8):
-        for word in itertools.permutations(range(1, 8), length):
-            for pat in SHORT_PATTERNS:
-                fast = _ends_with_pattern(word, pat.word)
-                assert fast == _ends_with_pattern_oracle(word, pat.word), (word, pat)
 
 
 @given(
@@ -316,11 +334,11 @@ def test_anchored_check_matches_oracle_exhaustively():
     st.sampled_from(SHORT_PATTERNS + [P((2, 4, 1, 3))]),
 )
 @settings(max_examples=300, deadline=None)
-def test_anchored_check_matches_oracle_on_random_words(word, pat):
-    assert _ends_with_pattern(word, pat.word) == _ends_with_pattern_oracle(word, pat.word)
+def test_contains_pattern_matches_standardized_subsequences(word, pat):
     p = standardize(word)
     brute = any(standardize(sub) == pat for sub in itertools.combinations(p.word, pat.n))
     assert contains_pattern(p, pat) == brute
+    assert _contains_rows(np.array([p.word]), pat.word).tolist() == [brute]
 
 
 def _brute_avoiders(n, pats):
@@ -343,26 +361,14 @@ def test_enumerate_avoiders_matches_brute_force_filter(family):
         assert enumerate_avoiders(n, pats) == _brute_avoiders(n, pats)
 
 
-# -- the family walks against the generic anchored search -------------------
-
-WALK_SIZES = {"A": 12, "B": 9}
+# -- the 321 walk against the generic search --------------------------------
 
 
-@pytest.mark.parametrize("family", ["A", "B"])
-def test_walk_matches_anchored_search(family):
-    pats = AVOIDED_PATTERNS[family]
-    for n in range(1, WALK_SIZES[family] + 1):
-        pat_words = [p.word for p in pats]
-        walked = _WALKS[frozenset(pat_words)](n)
-        assert walked == _anchored_search(n, pat_words), n
-        assert [p.word for p in enumerate_avoiders(n, pats)] == walked
-
-
-def test_numpy_321_walk_matches_anchored_search():
-    for n in range(1, 9):
+def test_numpy_321_walk_matches_the_generic_search():
+    for n in range(1, 10):
         words = avoiders_321(n)
         assert words.dtype == np.int8 and words.shape == (math.comb(2 * n, n) // (n + 1), n)
-        assert [tuple(w) for w in words.tolist()] == _anchored_search(n, [(3, 2, 1)]), n
+        assert np.array_equal(words, _avoider_words(n, [(3, 2, 1)])), n
     for n in (0, 64):
         with pytest.raises(ValueError):
             avoiders_321(n)
@@ -396,12 +402,46 @@ def test_enumeration_ignores_pattern_order_and_repeats():
     assert enumerate_avoiders(6, [P((3, 2, 1))] * 2) == enumerate_avoiders(6, [P((3, 2, 1))])
 
 
-def test_other_pattern_sets_use_the_anchored_search():
-    for pats in ([], [P((2, 3, 1))], [P((3, 2, 1)), P((1, 2, 3))], AVOIDED_PATTERNS["A"][:2]):
-        for n in range(1, 7):
-            assert frozenset(p.word for p in pats) not in _WALKS
-            words = _anchored_search(n, [p.word for p in pats])
-            assert [p.word for p in enumerate_avoiders(n, pats)] == words
+# the families' two sets; the empty set, whose class is all of S_n; 21 and
+# 12, whose class is one word, and 1, whose is empty; a pattern of length 4;
+# and sets that neither family uses
+PATTERN_SETS = [
+    [],
+    [(3, 2, 1)],
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3)],
+    [(2, 3, 1)],
+    [(1, 3, 2, 4)],
+    [(2, 1)],
+    [(1,)],
+    [(2, 3, 1), (3, 1, 2)],
+    [(1, 2)],
+]
+
+
+def permutation_filter(n, pat_words):
+    """All of S_n as an array, less the words that _contains_rows finds holding a pattern."""
+    words = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    hit = np.zeros(len(words), dtype=bool)
+    for pw in pat_words:
+        hit |= _contains_rows(words, pw)
+    return words[~hit]
+
+
+@pytest.mark.parametrize("pat_words", PATTERN_SETS, ids=lambda ws: ",".join(map(format_word, ws)))
+def test_enumerate_avoiders_matches_the_permutation_filter(pat_words):
+    pats = [P(w) for w in pat_words]
+    for n in range(1, 9):
+        got = [p.word for p in enumerate_avoiders(n, pats)]
+        assert got == [tuple(w) for w in permutation_filter(n, pat_words).tolist()], n
+        if n <= 6:
+            perms = map(P, itertools.permutations(range(1, n + 1)))
+            assert got == [p.word for p in perms if not any(contains_pattern(p, t) for t in pats)], n
+
+
+def test_avoider_words_hold_degrees_past_127():
+    # the class of 21 is the identity alone, and int8 would wrap at 128
+    words = _avoider_words(130, [(2, 1)])
+    assert words.tolist() == [list(range(1, 131))]
 
 
 def test_enumerate_avoiders_rejects_nonpositive_degree():

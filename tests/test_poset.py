@@ -57,6 +57,25 @@ def double_diamond():
     )
 
 
+def interval(p, x, z):
+    """The subposet {y : x <= y <= z}."""
+    xi, zi = p._as_index(x), p._as_index(z)
+    if not p.leq[xi, zi]:
+        raise NotComparable(f"{p.labels[xi]} is not below {p.labels[zi]}")
+    idx = np.nonzero(p.leq[xi] & p.leq[:, zi])[0]
+    return FinitePoset([p.labels[i] for i in idx], p.leq[np.ix_(idx, idx)])
+
+
+def interval_lattice(lat, x, z):
+    """The interval [x, z] of a lattice as a lattice in its own right."""
+    return as_lattice(interval(lat.poset, x, z))
+
+
+def mobius_matrix(p):
+    """Full matrix of mu(x, y), one recurrence row per x."""
+    return np.array([p._mobius_from(xi) for xi in range(p.size)])
+
+
 def random_bounded_poset(rng, inner, density):
     """A random order on `inner` elements between a bottom and a top, indices shuffled.
 
@@ -277,15 +296,15 @@ def test_dual_mobius_after_primal_queries():
     # a Mobius cache shared with the dual would hand back the primal rows
     for p in (cube(), chain(4), weak_order_lattice(4).poset):
         p.mobius(0, p.size - 1)
-        assert np.array_equal(p.dual().mobius_matrix(), p.mobius_matrix().T)
+        assert np.array_equal(mobius_matrix(p.dual()), mobius_matrix(p).T)
 
 
 def test_interval():
     p = cube()
-    q = p.interval("x", "xyz")
+    q = interval(p, "x", "xyz")
     assert set(q.labels) == {"x", "xy", "xz", "xyz"}
     with pytest.raises(NotComparable):
-        p.interval("x", "yz")
+        interval(p, "x", "yz")
 
 
 def test_mobius_basics():
@@ -309,7 +328,7 @@ def test_mobius_matrix_inverts_zeta():
     for p in (diamond(), m3(), cube(), weak_order_lattice(4).poset,
               build_family("B", 5).lattice.poset, build_family("C", 6).lattice.poset):
         zeta = p.leq.astype(np.int64)
-        mu = p.mobius_matrix()
+        mu = mobius_matrix(p)
         assert np.array_equal(zeta @ mu, np.eye(p.size, dtype=np.int64))
         assert np.array_equal(mu @ zeta, np.eye(p.size, dtype=np.int64))
 
@@ -366,7 +385,7 @@ def test_support_recurrence_matches_dense_oracle(family, n):
 
 def test_mobius_of_dual_is_transpose():
     for p in (diamond(), m3(), cube()):
-        assert np.array_equal(p.dual().mobius_matrix(), p.mobius_matrix().T)
+        assert np.array_equal(mobius_matrix(p.dual()), mobius_matrix(p).T)
 
 
 def brute_meet_join(p):
@@ -404,7 +423,7 @@ def test_tables_match_bound_search_on_weak_order_intervals(data):
     x = data.draw(st.integers(0, big.size - 1), label="x")
     above = np.flatnonzero(big.poset.leq[x])
     z = int(above[data.draw(st.integers(0, len(above) - 1), label="z")])
-    sub = big.poset.interval(x, z)
+    sub = interval(big.poset, x, z)
     # shuffle the element indices so the linear extension is far from sorted
     perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(sub.size)
     p = FinitePoset([sub.labels[i] for i in perm], sub.leq[np.ix_(perm, perm)])
@@ -581,14 +600,15 @@ def test_lattice_dual_swaps_structure():
 
 def test_join_table_is_built_on_demand_and_shared_with_the_dual():
     from mobiuslat import families
+    from mobiuslat.nbb import mobius_via_nbb
 
-    families.build_family.cache_clear()
-    families.mobius_summary(9, ("B",))
-    lat = families.build_family("B", 9).lattice
-    # the recurrence and the NBB count ran, and neither needed joins
-    assert ("meet", 1) not in lat._tables
-    assert lat.dual().join_table is lat.meet_table
+    # a dense B6 of its own: the recurrence and the NBB count need no table
+    fam = families.build_family.__wrapped__("B", 6)
+    fam.lattice.mobius_number()
+    mobius_via_nbb(fam.canonical_order)
+    assert not [key for key in fam.lattice._tables if key[0] == "meet"]
     small = as_lattice(cube())
+    assert small.dual().join_table is small.meet_table
     assert small.join_table is small.dual().meet_table
     assert small.dual().dual().join_table is small.join_table
 
@@ -622,7 +642,7 @@ def test_shuffled_orders_leave_atoms_sorted():
 
 def test_interval_lattice():
     lat = weak_order_lattice(4)
-    sub = lat.interval_lattice(lat.bottom, lat.poset.index("3214"))
+    sub = interval_lattice(lat, lat.bottom, lat.poset.index("3214"))
     assert sub.labels[sub.bottom] == "1234"
     assert sub.labels[sub.top] == "3214"
     assert sub.mobius_number() == lat.poset.mobius(lat.bottom, lat.poset.index("3214"))
