@@ -15,7 +15,7 @@ Sizes past DEFAULT_MAX_N need --force; then a memory estimate, which
 memory before anything is enumerated.  mobius for family B builds no
 lattice, so it has a bound of its own, TABLE_FREE_MAX_N, and its estimate
 is about a hundred bytes per element; every other lattice command is
-estimated by its dense N x N arrays.
+estimated by its N x N order matrix and the peak of what its build adds.
 """
 
 from __future__ import annotations
@@ -72,15 +72,38 @@ def _element_count(family: str, n: int) -> int:
 
 
 def _dense_bytes(family: str, n: int) -> int:
-    """Bytes of the N x N arrays a family lattice holds at once while built.
+    """Peak bytes of one dense family lattice while it is built and checked.
 
-    The order matrix, the cover matrix and validation's strict copy take
-    one byte per entry.  No command builds a meet or join table: the
-    lattice check, the NBB search and the claims read meets and joins only
-    with irreducibles or atoms, N x k arrays.
+    The order matrix, one byte per entry, is held throughout.  Validation
+    adds its packed rows: three arrays of an eighth of a byte per entry.
+    The lattice check comes after and adds the meet kernel's N x k arrays
+    for its k irreducible targets, a boolean slice of the order and three
+    index arrays of 2 bytes per entry (4 from 2^15 elements); B is checked
+    on its avoiders with one descent, fewer than 2^n, and A and C on fewer
+    than n coatoms.  The elements, their labels and masks and the
+    allocator's slack take under 2 KiB each: peak RSS above the
+    interpreter's was 1.5 and 1.2 KiB per element past these arrays for
+    B at n = 9 and 10.  No command builds a meet or join table.
     """
     count = _element_count(family, n)
-    return count * count * 3
+    targets = 2**n if family == "B" else n
+    width = 2 if count < 1 << 15 else 4
+    packed_rows = 3 * count * count // 8
+    kernel = count * targets * (1 + 3 * width)
+    return count * count + max(packed_rows, kernel) + count * 2048
+
+
+def _verify_bytes(max_n: int) -> int:
+    """Peak bytes of verify --max-n, which caches every lattice it builds.
+
+    The order matrices of all smaller sizes are held while the largest
+    are built.  The chained-inversion claim then holds the max_n! words of
+    [max_n] beside those, about 2 max_n + 8 bytes a word, which stays under
+    what the build adds to the order matrices: 1.1 GiB against 1.6 GiB at
+    max_n = 11.
+    """
+    held = sum(_element_count(f, n) ** 2 for f in "ABC" for n in range(1, max_n))
+    return held + sum(_dense_bytes(f, max_n) for f in "ABC")
 
 
 # Peak bytes per element of B's table-free mobius: the walk's word columns
@@ -218,9 +241,7 @@ def cmd_verify(parser, args) -> int:
             f"--max-n {args.max_n} exceeds the default bound {DEFAULT_MAX_N['B']}; "
             "pass --force to run anyway"
         )
-    # every family is built, and cached, at every size up to max_n
-    need = sum(_dense_bytes(family, args.max_n) for family in "ABC")
-    _check_memory(parser, need, f"--max-n {args.max_n}")
+    _check_memory(parser, _verify_bytes(args.max_n), f"--max-n {args.max_n}")
     claims = verify_all(args.max_n, args.seed)
     ok = all(c.passed for c in claims)
     if args.format == "json":

@@ -100,6 +100,9 @@ def _split_mask(word) -> int:
 # Mask pairs compared at once.  Blocks are bounded in entries, not rows:
 # glibc keeps a large freed temporary resident, and peak RSS follows it.
 _SUBSET_CHUNK = 1 << 18
+# The order matrix is filled in smaller blocks, whose uint64 temporaries
+# take 256 KB: 2 MB blocks stay resident once freed, past the matrix itself.
+_ORDER_CHUNK = 1 << 15
 _LIMB = 0xFFFFFFFFFFFFFFFF
 
 
@@ -134,7 +137,7 @@ def _containment_order(packed: np.ndarray, out: np.ndarray) -> None:
     the caller's order matrix, or the slice of it that leaves out an
     adjoined bound.
     """
-    step = max(1, _SUBSET_CHUNK // max(len(packed), 1))
+    step = max(1, _ORDER_CHUNK // max(len(packed), 1))
     for lo in range(0, len(packed), step):
         _subsets(packed[lo : lo + step], packed, out=out[lo : lo + step])
 

@@ -18,9 +18,12 @@ avoiders of [m-1], and then drops the candidates that hold a pattern.  No
 avoider is lost: the entries of an avoider of [m] after its first,
 standardized, form a word of [m-1], and an occurrence of a pattern in it
 would be one in the avoider too, so it is an avoider of [m-1] and the
-avoider is among the candidates.  Whole arrays of candidates are tested at
-once by `_contains_rows`; `contains_pattern` is the same definition on
-one word, and the oracle it is tested against.
+avoider is among the candidates.  By the same argument an occurrence in
+a candidate that leaves out its first entry is one in an avoider of [m-1],
+which has none, so only the position sets through the first can hold one.
+Whole arrays of candidates are tested at once by `_contains_rows`, on
+those sets only; `contains_pattern` is the same definition on one word,
+and the oracle it is tested against.
 
 321 (family B) also has a walk of its own, `avoiders_321`, which visits
 only live prefixes, those that some avoider extends.  Call w_j a
@@ -282,9 +285,9 @@ def _avoider_words(n: int, pat_words=()) -> np.ndarray:
 
     Built up by degree, as the module docstring shows: the candidates of
     degree m are each v followed by an avoider of [m-1] with every value
-    from v up raised by one, and those holding a pattern are dropped.  With
-    no patterns that lists all n! words.  The dtype is the smallest that
-    holds n.
+    from v up raised by one, and those holding a pattern at a set of
+    positions through the first are dropped.  With no patterns that lists
+    all n! words.  The dtype is the smallest that holds n.
     """
     words = np.empty((1, 0), dtype=np.min_scalar_type(n))
     for m in range(1, n + 1):
@@ -295,11 +298,11 @@ def _avoider_words(n: int, pat_words=()) -> np.ndarray:
             block[:, 1:] = words + (words >= v)
         words = out
         for pw in pat_words:
-            words = words[~_contains_rows(words, pw)]
+            words = words[~_contains_rows(words, pw, through_first=True)]
     return words
 
 
-def _contains_rows(words: np.ndarray, pat_word) -> np.ndarray:
+def _contains_rows(words: np.ndarray, pat_word, through_first: bool = False) -> np.ndarray:
     """Per row of an (N, n) array of words: does some subsequence order like the pattern?
 
     The definition of containment, on whole columns: for every k-subset of
@@ -307,7 +310,9 @@ def _contains_rows(words: np.ndarray, pat_word) -> np.ndarray:
     pair of its entries, ORed into the answer.  Subsets are walked in lex
     order, and a shared prefix of positions keeps its AND, so besides a
     column-major copy of the words only one length-N array per depth is
-    alive.  A pattern longer than the words gives all False.
+    alive.  A pattern longer than the words gives all False.  With
+    `through_first`, only the subsets holding position 0 are tested, the
+    C(n-1, k-1) of them where the first entry's occurrences are.
     """
     k, (count, n) = len(pat_word), words.shape
     found = np.zeros(count, dtype=bool)
@@ -326,7 +331,7 @@ def _contains_rows(words: np.ndarray, pat_word) -> np.ndarray:
                 m = m & (cols[i] < cols[j] if pat_word[a] < pat_word[d] else cols[i] > cols[j])
             extend(m, chosen + (j,))
 
-    extend(np.ones(count, dtype=bool), ())
+    extend(np.ones(count, dtype=bool), (0,) if through_first and k else ())
     return found
 
 

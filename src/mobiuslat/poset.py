@@ -1,12 +1,14 @@
 """Finite posets and bounded lattices over numpy order matrices.
 
-A poset stores its full order relation as a boolean matrix plus its Hasse
-diagram, a boolean cover matrix computed once, when the order is validated
-at construction.  The dual transposes both instead of recomputing them.
-Validation packs each row of the strict order into 64-bit words and ORs
-the packed up-sets of every element above x into x's two-step reach, so
-its cost follows the number of comparable pairs rather than N^3; the
-transitivity check and the covers both read off that reach.
+A poset stores its full order relation as a boolean matrix, the only N x N
+array it holds, and its Hasse diagram as an edge list: two index arrays
+(lo, hi), one entry per cover, found once, when the order is validated at
+construction.  The dual swaps the two arrays instead of recomputing them.
+Validation packs each row of the order into 64-bit words, clears the
+diagonal bits, and ORs the packed strict up-sets of every element above x
+into x's two-step reach, so its cost follows the number of comparable
+pairs rather than N^3; the transitivity check and the covers both read off
+that reach, and only the bytes that hold a cover are unpacked.
 Mobius values come straight from the defining recurrence (the value at
 (x, z) makes the interval sums telescope to a delta), evaluated bottom-up
 along a linear extension over the support of mu(x, .), since zero terms
@@ -82,23 +84,29 @@ _PAIR_CHUNK = 1 << 12  # comparable pairs gathered at once during validation
 _RUN_CHUNK = 1 << 16  # candidate meets gathered at once by the meet kernel
 
 
-def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, ...]:
+def _packed_through(leq: np.ndarray) -> tuple[np.ndarray, ...]:
     """Strict-order rows packed 64 to a word, their two-step reach, set sizes.
 
-    Row x of `through` is the OR of the packed up-sets of every y with
-    x < y, i.e. the boolean square of `strict` without an N^3 product:
-    the work follows the number of comparable pairs.  Rows are gathered in
-    chunks of whole rows, about _PAIR_CHUNK pairs each, and folded with
-    one `bitwise_or.reduceat` per chunk.  The sizes are those of the
-    strict up-sets (row counts) and down-sets (gathered columns, counted).
+    The rows of the reflexive `leq` are packed as they are, and then the
+    diagonal bit of each is cleared, so no strict copy of the order is
+    made.  Row x of `through` is the OR of the packed up-sets of every y
+    with x < y, i.e. the boolean square of the strict order without an
+    N^3 product: the work follows the number of comparable pairs.  Rows
+    are gathered in chunks of whole rows, about _PAIR_CHUNK pairs each,
+    less the pairs (x, x), and folded with one `bitwise_or.reduceat` per
+    chunk.  The sizes are those of the strict up-sets (row counts less
+    one) and down-sets (gathered columns, counted).
     """
-    n = strict.shape[0]
+    n = leq.shape[0]
     words = -(-n // 64)
     packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(strict, axis=1)
+    packed[:, : -(-n // 8)] = np.packbits(leq, axis=1)
+    # packbits keeps column c in bit 0x80 >> (c % 8) of byte c // 8
+    diag = np.arange(n)
+    packed[diag, diag >> 3] &= ~(0x80 >> (diag & 7)).astype(np.uint8)
     packed = packed.view(np.uint64)
     through = np.zeros_like(packed)
-    counts = np.count_nonzero(strict, axis=1)
+    counts = np.count_nonzero(leq, axis=1) - 1
     below = np.zeros(n, dtype=np.intp)
     ends = np.cumsum(counts)
     lo = 0
@@ -107,7 +115,8 @@ def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, ...]:
         hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
         rows = lo + np.flatnonzero(counts[lo:hi])
         if len(rows):
-            ys = np.flatnonzero(strict[lo:hi]) % n
+            xs, ys = np.divmod(np.flatnonzero(leq[lo:hi]), n)
+            ys = ys[ys != xs + lo]
             starts = ends[rows] - counts[rows] - base
             through[rows] = np.bitwise_or.reduceat(packed[ys], starts, axis=0)
             below += np.bincount(ys, minlength=n)
@@ -115,11 +124,28 @@ def _packed_through(strict: np.ndarray) -> tuple[np.ndarray, ...]:
     return packed, through, counts, below
 
 
+def _hasse_edges(hasse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set bits of packed rows as index arrays (lo, hi), sorted by lo, then hi.
+
+    Only the nonzero 64-bit words are read, and of those only the nonzero
+    bytes are unpacked, so the work past one scan of the words follows the
+    number of covers, not N^2.  Byte b of word w holds columns 64w + 8b on.
+    """
+    rows, words = np.nonzero(hasse)
+    packed = hasse[rows, words].view(np.uint8).reshape(-1, 8)
+    at, byte = np.nonzero(packed)
+    hit, bit = np.nonzero(np.unpackbits(packed[at, byte][:, None], axis=1))
+    at = at[hit]
+    return rows[at], 64 * words[at] + 8 * byte[hit] + bit
+
+
 class FinitePoset:
     """Immutable finite poset with string labels and a boolean leq matrix.
 
     A boolean matrix is not copied: leq is a read-only view of it, so the
-    caller's array stays writable but must not change afterwards.
+    caller's array stays writable but must not change afterwards.  It is
+    the only N x N array the poset holds or allocates: the covers are an
+    edge list, `_covers` = (lo, hi), and validation works on packed rows.
     """
 
     def __init__(self, labels, leq: np.ndarray):
@@ -132,12 +158,8 @@ class FinitePoset:
             raise ValueError("order matrix shape does not match label count")
         if not leq.diagonal().all():
             raise ValueError("order relation is not reflexive")
-        strict = leq.copy()
-        np.fill_diagonal(strict, False)
-        packed, through, above, below = _packed_through(strict)
-        del strict
-        # x < y < x puts x in its own two-step reach, and only then; packbits
-        # keeps column c in bit 0x80 >> (c % 8) of byte c // 8
+        packed, through, above, below = _packed_through(leq)
+        # x < y < x puts x in its own two-step reach, and only then
         diag = np.arange(n)
         if (through.view(np.uint8)[diag, diag >> 3] & (0x80 >> (diag & 7))).any():
             raise ValueError("order relation is not antisymmetric")
@@ -145,7 +167,7 @@ class FinitePoset:
             raise ValueError("order relation is not transitive")
         np.bitwise_not(through, out=through)
         through &= packed
-        self._covers_matrix = np.unpackbits(through.view(np.uint8), axis=1, count=n).view(bool)
+        self._covers = _hasse_edges(through)
         # the sizes of up-sets and down-sets give the bounds and a linear extension
         self._up_sizes, self._down_sizes = above + 1, below + 1
         self.leq = leq.view()
@@ -205,19 +227,20 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (lo, hi) as indices, sorted."""
-        lo, hi = np.nonzero(self._covers_matrix)  # row-major, so already sorted
-        return list(zip(lo.tolist(), hi.tolist()))
+        lo, hi = self._covers
+        by_lo = np.lexsort((hi, lo))
+        return list(zip(lo[by_lo].tolist(), hi[by_lo].tolist()))
 
     def dual(self) -> "FinitePoset":
         """Same elements, reversed order.
 
         The transpose of a valid order is valid and its Hasse diagram is the
-        transposed one, so nothing is validated or derived again; both are
-        views of this poset's matrices, not copies.
+        reversed one, so nothing is validated or derived again: the order
+        is a view of this poset's matrix, and the two cover arrays swap.
         """
         d = copy.copy(self)
         d.leq = self.leq.T
-        d._covers_matrix = self._covers_matrix.T
+        d._covers = self._covers[::-1]
         d._up_sizes, d._down_sizes = self._down_sizes, self._up_sizes
         d._mobius_cols = {}
         return d
@@ -358,12 +381,16 @@ class BoundedLattice:
         return acc
 
     def atoms(self) -> list[int]:
-        """Elements covering the bottom, in element-index order."""
-        return np.flatnonzero(self.poset._covers_matrix[self.bottom]).tolist()
+        """Elements covering the bottom, in element-index order.
+
+        The bottom lies under every element, so x covers it exactly when
+        x's down-set is {bottom, x}.
+        """
+        return np.flatnonzero(self.poset._down_sizes == 2).tolist()
 
     def coatoms(self) -> list[int]:
-        """Elements covered by the top, in element-index order."""
-        return np.flatnonzero(self.poset._covers_matrix[:, self.top]).tolist()
+        """Elements covered by the top, in element-index order: up-sets {x, top}."""
+        return np.flatnonzero(self.poset._up_sizes == 2).tolist()
 
     def mobius_number(self) -> int:
         """mu(bottom, top) by the defining recurrence."""
@@ -380,19 +407,10 @@ class BoundedLattice:
 
 
 def _cover_pairs(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
-    """Cover pairs (lo, hi) as two index arrays, sorted by hi, then by lo.
-
-    The cover matrix is scanned in memory order, whether it is the poset's
-    own C-ordered array or the transposed view a dual holds.
-    """
-    n = poset.size
-    covers = poset._covers_matrix
-    if covers.flags.c_contiguous:
-        lo, hi = np.divmod(np.flatnonzero(covers), n)
-        by_hi = np.argsort(hi, kind="stable")
-        return lo[by_hi], hi[by_hi]
-    hi, lo = np.divmod(np.flatnonzero(covers.T), n)
-    return lo, hi
+    """Cover pairs (lo, hi) as two index arrays, sorted by hi, then by lo."""
+    lo, hi = poset._covers
+    by_hi = np.lexsort((lo, hi))
+    return lo[by_hi], hi[by_hi]
 
 
 def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
@@ -466,9 +484,9 @@ def _check_side(poset: FinitePoset) -> tuple[FinitePoset, np.ndarray]:
     join-irreducibles (one lower cover each) as those of the dual, whichever
     are fewer.
     """
-    covers = poset._covers_matrix
-    meet_irreducible = np.flatnonzero(np.count_nonzero(covers, axis=1) == 1)
-    join_irreducible = np.flatnonzero(np.count_nonzero(covers, axis=0) == 1)
+    lo, hi = poset._covers
+    meet_irreducible = np.flatnonzero(np.bincount(lo, minlength=poset.size) == 1)
+    join_irreducible = np.flatnonzero(np.bincount(hi, minlength=poset.size) == 1)
     if len(join_irreducible) < len(meet_irreducible):
         return poset.dual(), join_irreducible
     return poset, meet_irreducible

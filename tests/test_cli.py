@@ -94,7 +94,7 @@ def test_mobius_bound_gate(capsys):
     ],
 )
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
-    # B at n=12 has 208 013 elements, and its dense tables alone are ~121 GiB;
+    # B at n=12 has 208 013 elements, and its order matrix alone is ~40 GiB;
     # B's table-free mobius at n=20 holds 6.6e9 elements at ~120 B each;
     # at n=600 (masks) and n=300 (dense) no float holds the byte count
     def unreachable(*args):
@@ -110,10 +110,21 @@ def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and "physical memory" in err
 
 
-def test_dense_estimate_counts_three_bytes_per_entry():
-    # order, covers and validation's strict copy, over the 16796 avoiders
-    # and the top; no command builds a meet table
-    assert cli._dense_bytes("B", 10) == 16797**2 * 3
+def test_dense_estimate_counts_the_order_matrix_and_the_larger_temporaries():
+    # the order matrix over B's 16796 avoiders and the top, then the lattice
+    # check's arrays for fewer than 2^10 targets, which outweigh validation's
+    # packed rows, and 2 KiB per element; no command builds a meet table
+    assert cli._dense_bytes("B", 10) == 16797**2 + 16797 * 2**10 * 7 + 16797 * 2048
+    # C at n=16 is checked on fewer than 16 coatoms: the packed rows weigh more
+    assert cli._dense_bytes("C", 16) == 1598**2 + 3 * 1598**2 // 8 + 1598 * 2048
+    # from 2^15 elements the kernel's index arrays take 4 bytes per entry
+    assert cli._dense_bytes("B", 11) == 58787**2 + 58787 * 2**11 * 13 + 58787 * 2048
+
+
+def test_verify_estimate_holds_the_cached_sizes():
+    # every smaller lattice stays cached while the largest are built
+    smaller = sum(cli._element_count(f, n) ** 2 for f in "ABC" for n in range(1, 10))
+    assert cli._verify_bytes(10) == smaller + sum(cli._dense_bytes(f, 10) for f in "ABC")
 
 
 def test_memory_figures():

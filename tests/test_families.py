@@ -190,7 +190,7 @@ def test_family_c_partial_sums_match_the_cover_definition(n):
     assert poset.covers() == oracle.covers()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, families._SUBSET_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, families._ORDER_CHUNK])
 @given(nbits=st.integers(1, 130), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_containment_order_matches_subset_test(chunk, nbits, data):
@@ -208,7 +208,7 @@ def test_containment_order_matches_subset_test(chunk, nbits, data):
     border = data.draw(st.booleans())
     bordered = np.full((k + 1, k + 1), border)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, "_SUBSET_CHUNK", chunk)
+        mp.setattr(families, "_ORDER_CHUNK", chunk)
         _containment_order(_pack(masks), bordered[1:, 1:])
     assert np.array_equal(bordered[1:, 1:], expect)
     assert (bordered[0] == border).all() and (bordered[:, 0] == border).all()

@@ -339,6 +339,9 @@ def test_contains_pattern_matches_standardized_subsequences(word, pat):
     brute = any(standardize(sub) == pat for sub in itertools.combinations(p.word, pat.n))
     assert contains_pattern(p, pat) == brute
     assert _contains_rows(np.array([p.word]), pat.word).tolist() == [brute]
+    rest = itertools.combinations(p.word[1:], pat.n - 1)
+    first = any(standardize(p.word[:1] + sub) == pat for sub in rest)
+    assert _contains_rows(np.array([p.word]), pat.word, through_first=True).tolist() == [first]
 
 
 def _brute_avoiders(n, pats):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,16 +184,14 @@ def test_constructor_leaves_the_callers_array_writable():
             leq[1, 0] = True
 
 
-def test_lower_covers_in_either_memory_order():
-    # the cover pairs come sorted by upper element, then by lower, whether
-    # the cover matrix is the poset's own array or the dual's transpose
+def test_cover_pairs_sorted_by_upper_then_lower_on_poset_and_dual():
+    # the dual holds the poset's two edge arrays swapped, so its pairs come
+    # out of them in another order, and must still be sorted by (hi, lo)
     for p in (cube(), weak_order_lattice(4).poset):
         for q in (p, p.dual()):
             lo, hi = poset_module._cover_pairs(q)
-            covers = q._covers_matrix
-            assert list(zip(hi.tolist(), lo.tolist())) == [
-                (x, c) for x in range(q.size) for c in np.flatnonzero(covers[:, x]).tolist()
-            ]
+            by_hi = np.nonzero(dense_hasse(q.leq)[0].T)  # column-major: sorted by hi
+            assert list(zip(hi.tolist(), lo.tolist())) == list(zip(*(a.tolist() for a in by_hi)))
 
 
 def dense_hasse(leq):
@@ -218,8 +217,9 @@ def assert_packed_matches_dense(leq):
     covers, transitive = dense_hasse(leq)
     assert transitive
     p = FinitePoset(labels, leq)
-    assert p._covers_matrix.dtype == bool
-    assert np.array_equal(p._covers_matrix, covers)
+    # np.nonzero reads row-major, so the oracle's pairs come sorted by (lo, hi)
+    assert p.covers() == list(zip(*(a.tolist() for a in np.nonzero(covers))))
+    assert p.dual().covers() == list(zip(*(a.tolist() for a in np.nonzero(covers.T))))
     # drop one implied (non-cover) pair: the order is no longer transitive
     implied = np.argwhere(leq & ~covers & ~np.eye(len(leq), dtype=bool))
     if len(implied):
@@ -255,6 +255,40 @@ def test_packed_hasse_across_word_and_byte_boundaries(n):
             assert_packed_matches_dense(chain_order)
             assert_packed_matches_dense(np.eye(n, dtype=bool))
             assert_packed_matches_dense(dag_closure(n, 0.05, n))
+
+
+@pytest.mark.parametrize("family,n,bound", [("B", 8, 1.0), ("B", 9, 0.5)])
+def test_validation_allocates_well_under_one_order_matrix(family, n, bound):
+    # validation packs the rows of leq itself, and the covers are an edge
+    # list: a strict copy or a cover matrix would take N^2 bytes each
+    poset = build_family(family, n).lattice.poset
+    tracemalloc.start()
+    try:
+        FinitePoset(poset.labels, poset.leq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * poset.size**2
+
+
+def ndarrays(value):
+    """Every ndarray in an attribute value, looking inside tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from ndarrays(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from ndarrays(v)
+
+
+@pytest.mark.parametrize("family,n", [("B", 8), ("C", 16)])
+def test_the_order_matrix_is_the_only_square_array(family, n):
+    poset = build_family(family, n).lattice.poset
+    for p in (poset, poset.dual()):
+        square = [name for name, value in vars(p).items() for a in ndarrays(value) if a.size >= p.size**2]
+        assert square == ["leq"]
 
 
 def test_covers_of_diamond():
@@ -518,8 +552,9 @@ def twin_of_a_join(p):
     The copy has the same strict down-set and up-set as the original, so
     the two have no meet.
     """
-    covers = p._covers_matrix
-    e = int(np.flatnonzero((np.count_nonzero(covers, axis=0) >= 2) & covers.any(axis=1))[0])
+    lo, hi = np.array(p.covers()).T
+    lower, upper = np.bincount(hi, minlength=p.size), np.bincount(lo, minlength=p.size)
+    e = int(np.flatnonzero((lower >= 2) & (upper > 0))[0])
     leq = np.zeros((p.size + 1,) * 2, dtype=bool)
     leq[:-1, :-1] = p.leq
     leq[-1, :-1], leq[:-1, -1] = p.leq[e], p.leq[:, e]
