@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fibpoly import fib_poly, h_poly, sparse_sets
-from .nbb import AtomOrder, _mobius_column, mobius_via_nbb, nbb_bases_of, shuffled_order
+from .nbb import AtomOrder, _mobius_column, _Search, mobius_via_nbb, nbb_bases_of
 from .permutation import (
     Permutation,
     adjacent_transposition,
@@ -119,14 +119,16 @@ def _pack(masks: list[int]) -> np.ndarray:
     return packed
 
 
-def _subsets(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _subsets(a: np.ndarray, not_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """[i, j] = (row i of a is a subset of row j of b), for masks packed alike.
 
-    Written into `out` when it is given, else into a new array.
+    Takes the complement not_b = ~b, so a caller that tests many blocks
+    against the same b complements it once.  Written into `out` when it is
+    given, else into a new array.
     """
-    out = np.equal(a[:, :1] & ~b[:, 0], 0, out=out)
+    out = np.equal(a[:, :1] & not_b[:, 0], 0, out=out)
     for limb in range(1, a.shape[1]):
-        out &= (a[:, limb, None] & ~b[:, limb]) == 0
+        out &= (a[:, limb, None] & not_b[:, limb]) == 0
     return out
 
 
@@ -137,9 +139,10 @@ def _containment_order(packed: np.ndarray, out: np.ndarray) -> None:
     the caller's order matrix, or the slice of it that leaves out an
     adjoined bound.
     """
+    outside = ~packed
     step = max(1, _ORDER_CHUNK // max(len(packed), 1))
     for lo in range(0, len(packed), step):
-        _subsets(packed[lo : lo + step], packed, out=out[lo : lo + step])
+        _subsets(packed[lo : lo + step], outside, out=out[lo : lo + step])
 
 
 def _mobius_by_rank(packed: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -161,7 +164,7 @@ def _mobius_by_rank(packed: np.ndarray, counts: np.ndarray) -> np.ndarray:
         step = max(1, _SUBSET_CHUNK // max(len(support), 1))
         for lo in range(0, len(level), step):
             xs = level[lo : lo + step]
-            mu[xs] = (counts[xs] == 0) - values @ _subsets(support, packed[xs])
+            mu[xs] = (counts[xs] == 0) - values @ _subsets(support, ~packed[xs])
         kept = level[mu[level] != 0]
         support = np.concatenate((support, packed[kept]))
         values = np.concatenate((values, mu[kept]))
@@ -646,13 +649,25 @@ def _has_chained_inversions(words: np.ndarray) -> np.ndarray:
     """Per row of an (N, n) array of words: are there inversions (i, j) and (j, k)?
 
     Sweeps the middle position j over the columns: an inversion ends at j
-    when an earlier entry is larger, and one starts there when a later
-    entry is smaller.
+    when the largest earlier entry is larger, and one starts there when the
+    smallest later entry is smaller.  The words are transposed once, a
+    block of rows at a time, so each column is one contiguous row; the
+    largest earlier entry is kept as the sweep goes, and the smallest later
+    ones come from one accumulation over the reversed columns.
     """
     chained = np.zeros(len(words), dtype=bool)
-    for j in range(1, words.shape[1] - 1):
-        mid = words[:, j : j + 1]
-        chained |= (words[:, :j] > mid).any(axis=1) & (words[:, j + 1 :] < mid).any(axis=1)
+    n = words.shape[1]
+    if n < 3:
+        return chained
+    step = max(1, _SUBSET_CHUNK // n)
+    for lo in range(0, len(words), step):
+        cols = np.ascontiguousarray(words[lo : lo + step].T)
+        later = np.minimum.accumulate(cols[:0:-1], axis=0)[::-1]  # later[j]: least of columns > j
+        earlier = cols[0].copy()
+        found = chained[lo : lo + step]
+        for j in range(1, n - 1):
+            found |= (earlier > cols[j]) & (later[j] < cols[j])
+            np.maximum(earlier, cols[j], out=earlier)
     return chained
 
 
@@ -759,20 +774,27 @@ def random_order_claim(family: str, n: int, seed: int, trials: int = 20) -> Clai
 
     Under the canonical order and each shuffled one, the signed NBB count
     at every element of the lattice NBB runs on equals its Mobius value by
-    the recurrence, the top included.
+    the recurrence, the top included.  The shuffles are drawn as
+    `shuffled_order` draws them, and all the orders run in one stacked
+    search, whose column holds one row of counts per order.
     """
     fam = build_family(family, n)
     lattice = fam.nbb_lattice
     oracle = lattice.poset._mobius_from(lattice.bottom)
-    failures = []
-    if not np.array_equal(_mobius_column(fam.canonical_order), oracle):
-        failures.append("canonical order disagrees with the recurrence")
     rng = random.Random(f"{seed}:{family}:{n}")
-    for t in range(trials):
-        order = shuffled_order(lattice, rng)
-        if not np.array_equal(_mobius_column(order), oracle):
-            failures.append(f"shuffle {t} of {list(order.sequence)} disagrees")
-            break
+    shuffles = []
+    for _ in range(trials):
+        seq = lattice.atoms()
+        rng.shuffle(seq)
+        shuffles.append(seq)
+    view = _Search(lattice, [fam.canonical_order.sequence, *shuffles])
+    wrong = (_mobius_column(view).reshape(trials + 1, lattice.size) != oracle).any(axis=1)
+    failures = []
+    if wrong[0]:
+        failures.append("canonical order disagrees with the recurrence")
+    bad = np.flatnonzero(wrong[1:])
+    if len(bad):
+        failures.append(f"shuffle {bad[0]} of {shuffles[bad[0]]} disagrees")
     return _claim("nbb-order-independence", family, n, failures)
 
 

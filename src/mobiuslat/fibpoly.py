@@ -100,13 +100,19 @@ def sparse_sets(n: int) -> list[tuple[int, ...]]:
 def h_poly(n: int) -> IntPolynomial:
     """Sparse-set size generating polynomial: sum of q^(|X|-1).
 
+    Builds the sparse sets level by level, each level the list of the
+    sets' last members: a set extends by any member at least two past its
+    last, as `sparse_sets` extends its prefixes, and the coefficient of
+    q^j is the number of sets with j + 1 members.
+
     >>> str(h_poly(6))
     '1 + 4*q + 3*q^2'
     """
+    if n < 1:
+        raise ValueError("universe bound must be at least 1")
     coeffs: list[int] = []
-    for x in sparse_sets(n):
-        k = len(x) - 1
-        if k >= len(coeffs):
-            coeffs.extend([0] * (k + 1 - len(coeffs)))
-        coeffs[k] += 1
+    last = [1]
+    while last:
+        coeffs.append(len(last))
+        last = [m for end in last for m in range(end + 2, n + 1)]
     return IntPolynomial(tuple(coeffs))

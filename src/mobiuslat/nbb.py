@@ -49,11 +49,15 @@ Both read the lattice through two calls only, made on arrays of
 element ids: with_atom(m, x) = x v a_m, and first(y), the earliest
 position of an atom strictly below y (k when there is none), so that an
 atom before m lies strictly below y exactly when first(y) < m.  A view
-that serves them also names its bottom, its number of element ids so far
-and its atoms in order position.  `_Search` serves them from dense numpy
-slices of a `BoundedLattice`.  A view that builds elements only as the
-passes reach them, such as family B's inversion-mask view, may hand out
-new ids in with_atom, and the column grows to match.
+that serves them also names its bottom ids, its number of element ids so
+far and its atoms in order position.  `_Search` serves them from dense
+numpy slices of a `BoundedLattice`, for one atom order or for T orders of
+the same lattice at once: order t's copy of element x has the id t*N + x,
+its bottoms are the T ids t*N + bottom, and each pass runs every order
+together.  No set ever joins across copies, since with_atom keeps an id in
+its copy.  A view that builds elements only as the passes reach them, such
+as family B's inversion-mask view, may hand out new ids in with_atom, and
+the column grows to match.
 """
 
 from __future__ import annotations
@@ -105,26 +109,33 @@ def shuffled_order(lattice: BoundedLattice, rng) -> AtomOrder:
 
 
 class _Search:
-    """The dense view of the module docstring, for one atom order.
+    """The dense view of the module docstring, for T atom orders of one lattice.
 
-    The BB test, the listing and the sum all read it.  Row p of
-    `_with_atom` is x v a for the atom a at position p, sliced from
+    The BB test, the listing and the sum all read it.  Ids are t*N + x for
+    element x under order t, the t-th of `sequences`.  Row p of
+    `_with_atom` is x v a for the atom a at position p of each order, with
+    the offsets t*N already added, sliced from
     `BoundedLattice.atom_join_columns` (built once per lattice from its
-    covers), and `_first[x]` is the earliest position of an atom strictly
-    below x, or k when there is none.
+    covers) in the smallest integer type that holds T*N; `_first[t*N + x]`
+    is the earliest position, under order t, of an atom strictly below x,
+    or k when there is none.  One order is T = 1, where the ids are the
+    element indices.
     """
 
-    def __init__(self, order: AtomOrder):
-        lattice = order.lattice
-        self.atoms = order.sequence
-        self.bottom, self.size = lattice.bottom, lattice.size
-        atoms = list(self.atoms)
-        k = len(atoms)
-        rows = np.searchsorted(lattice.atoms(), atoms)  # atoms() is ascending
-        self._with_atom = lattice.atom_join_columns()[rows]
-        strict = lattice.poset.leq[atoms]
-        strict[np.arange(k), atoms] = False
-        self._first = np.where(strict.any(axis=0), strict.argmax(axis=0), k)
+    def __init__(self, lattice: BoundedLattice, sequences):
+        t, k, n = len(sequences), len(sequences[0]), lattice.size
+        seqs = np.array(sequences, dtype=np.intp).reshape(t, k)
+        self.atoms = seqs.T  # row p: the atom at position p under each order
+        self.bottom = lattice.bottom + n * np.arange(t)
+        self.size = t * n
+        dtype = np.int16 if t * n < 1 << 15 else np.int32 if t * n < 1 << 31 else np.int64
+        rows = np.searchsorted(lattice.atoms(), self.atoms)  # atoms() is ascending
+        joins = lattice.atom_join_columns()[rows].astype(dtype, copy=False)  # (k, T, N)
+        joins += (n * np.arange(t, dtype=dtype))[:, None]
+        self._with_atom = joins.reshape(k, t * n)
+        strict = lattice.poset.leq[seqs]  # (T, k, N)
+        strict[np.arange(t)[:, None], np.arange(k), seqs] = False
+        self._first = np.where(strict.any(axis=1), strict.argmax(axis=1), k).ravel()
 
     def with_atom(self, m: int, x: np.ndarray) -> np.ndarray:
         return self._with_atom[m, x]
@@ -143,15 +154,16 @@ def _prepend(view, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _mobius_column(order) -> np.ndarray:
     """mu(bottom, x) for every element id x, as signed NBB counts, not listed.
 
-    `order` is an AtomOrder, read through its dense `_Search`, or any view
-    with the two calls of the module docstring.  Runs the prepended-minimum
-    recurrence: g holds the signed count of the NBB sets (the empty one
-    included) whose members all sit at position m or later, per join, and
-    each pass prepends the atom at position m to every set g counts.  A
-    pass sends the counts g held before it, so no set takes the same atom
-    twice.
+    `order` is an AtomOrder, read through a dense `_Search` of its one
+    order, or any view with the two calls of the module docstring; on a
+    view of T orders, entry t*N + x is order t's count at x.  Runs the
+    prepended-minimum recurrence: g holds the signed count of the NBB sets
+    (the empty one included) whose members all sit at position m or later,
+    per join, and each pass prepends the atom at position m to every set g
+    counts.  A pass sends the counts g held before it, so no set takes the
+    same atom twice.
     """
-    view = _Search(order) if isinstance(order, AtomOrder) else order
+    view = _Search(order.lattice, [order.sequence]) if isinstance(order, AtomOrder) else order
     g = np.zeros(view.size, dtype=np.int64)
     g[view.bottom] = 1
     for m in range(len(view.atoms) - 1, -1, -1):
@@ -179,8 +191,8 @@ def _positions(order: AtomOrder, atoms) -> list[int]:
 def is_bounded_below(order: AtomOrder, atoms) -> bool:
     """Does every member have an earlier atom below the set's join?"""
     positions = _positions(order, atoms)
-    view = _Search(order)
-    join = view.bottom
+    view = _Search(order.lattice, [order.sequence])
+    join = view.bottom[0]
     for p in positions:
         join = view.with_atom(p, join)
     return bool(view.first(join) < positions[0])
@@ -198,8 +210,8 @@ def _nbb_sets(order: AtomOrder) -> dict[int, list[tuple[int, ...]]]:
     has extended, and no set takes the same atom twice.  Elements no NBB
     set joins to are absent.
     """
-    view = _Search(order)
-    sets = {view.bottom: [()]}
+    view = _Search(order.lattice, [order.sequence])
+    sets = {int(view.bottom[0]): [()]}
     for m in range(len(view.atoms) - 1, -1, -1):
         xs, ys = _prepend(view, m, np.fromiter(sets, dtype=np.intp, count=len(sets)))
         for u, y in zip(xs.tolist(), ys.tolist()):

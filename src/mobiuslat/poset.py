@@ -11,9 +11,13 @@ pairs rather than N^3; the transitivity check and the covers both read off
 that reach, and only the bytes that hold a cover are unpacked.
 Mobius values come straight from the defining recurrence (the value at
 (x, z) makes the interval sums telescope to a delta), evaluated bottom-up
-along a linear extension over the support of mu(x, .), since zero terms
-add nothing; this module is the oracle the rest of the package is
-measured against.
+along a linear extension a run at a time.  The runs are the stretches of
+the extension in which no member covers another, the same ones the meet
+kernel below takes; no member of such a run lies below another, so the
+values of a whole run are one product of the values found so far with a
+block of the order.  Only the support of mu(x, .) enters the sums, since
+zero terms add nothing.  This module is the oracle the rest of the
+package is measured against.
 
 Lattice promotion checks meets with the meet-irreducibles only, the
 elements M with exactly one upper cover.  In a finite poset P with bottom
@@ -38,7 +42,10 @@ flagged, for it has no meet.  The lattice check runs it with the
 irreducibles as targets, the meet table with every element, and the join
 table on the dual.  The NBB search reads only the joins x v a with the
 atoms a, which are the kernel on the dual with the atoms as targets.
-Every table is built only when asked for, and shared with the dual.
+The kernel answers in extension positions: the tables and the atom joins
+map its columns back to element indices, and the check reads only whether
+it raised.  Every table is built only when asked for, and shared with
+the dual.
 
 A failed check runs the kernel again with every element as a target, to
 name a witness: the pair without a meet whose later element comes
@@ -82,6 +89,7 @@ class NotALattice(ValueError):
 # keeps what a large temporary freed, and peak RSS follows the largest one.
 _PAIR_CHUNK = 1 << 12  # comparable pairs gathered at once during validation
 _RUN_CHUNK = 1 << 16  # candidate meets gathered at once by the meet kernel
+_MU_CHUNK = 1 << 18  # order entries (support by run members) summed at once by the recurrence
 
 
 def _packed_through(leq: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -254,25 +262,28 @@ class FinitePoset:
     def _mobius_from(self, xi: int) -> np.ndarray:
         """Vector of mu(x, y) over all y, zero where x is not below y.
 
-        Only the support of mu(x, .) is kept for the sums: the z with
-        mu(x, z) != 0, in extension order, and their values.  The zero terms
-        of the recurrence contribute nothing, so y reads |support| entries
-        of its column instead of all N.
+        Runs of the extension in which no member covers another hold no
+        two comparable elements, so a run's values read only those of
+        earlier runs: for the y of a run, the delta at x less the sum of
+        mu(x, z) over the z below y found so far.  Only the support of
+        mu(x, .) is kept for the sums, the z with mu(x, z) != 0, and a run
+        is summed against it in chunks of at most _MU_CHUNK order entries.
         """
         col = self._mobius_cols.get(xi)
         if col is None:
-            ext = self._linear_extension()
-            ys = ext[self.leq[xi, ext]].tolist()
+            ext, _, lo, first = _extension_covers(self)
+            up = np.flatnonzero(self.leq[xi, ext])  # the extension positions above x
+            run_of = np.searchsorted(_runs(lo, first), up, side="right")
             mu = np.zeros(self.size, dtype=np.int64)
-            support = np.empty(len(ys), dtype=np.intp)
-            vals = np.empty(len(ys), dtype=np.int64)
-            m = 0
-            for y in ys:
-                value = (1 if y == xi else 0) - int(vals[:m][self.leq[support[:m], y]].sum())
-                if value:
-                    mu[y] = vals[m] = value
-                    support[m] = y
-                    m += 1
+            support, vals = up[:0], mu[:0]
+            for run in np.split(ext[up], np.flatnonzero(np.diff(run_of)) + 1):
+                step = max(1, _MU_CHUNK // max(len(support), 1))
+                for i in range(0, len(run), step):
+                    ys = run[i : i + step]
+                    mu[ys] = (ys == xi) - vals @ self.leq[np.ix_(support, ys)]
+                kept = run[mu[run] != 0]
+                support = np.concatenate((support, kept))
+                vals = np.concatenate((vals, mu[kept]))
             col = mu
             col.setflags(write=False)
             self._mobius_cols[xi] = col
@@ -332,7 +343,9 @@ class BoundedLattice:
     @property
     def meet_table(self) -> np.ndarray:
         every = np.arange(self.size)
-        return self._table("meet", self._side, lambda: _meets_with(self.poset, every))
+        return self._table(
+            "meet", self._side, lambda: _by_index(self.poset, _meets_with(self.poset, every))
+        )
 
     @property
     def join_table(self) -> np.ndarray:
@@ -344,9 +357,11 @@ class BoundedLattice:
         The meets of every element with the atoms on the dual, transposed:
         the kernel's work follows the atom count, not N.
         """
-        return self._table(
-            "atom joins", self._side, lambda: _meets_with(self.poset.dual(), self.atoms()).T
-        )
+        def build():
+            dual = self.poset.dual()
+            return _by_index(dual, _meets_with(dual, self.atoms())).T
+
+        return self._table("atom joins", self._side, build)
 
     @property
     def size(self) -> int:
@@ -413,19 +428,59 @@ def _cover_pairs(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     return lo[by_hi], hi[by_hi]
 
 
-def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
-    """The N x len(targets) array of x ^ t; raises NotALattice when one is missing.
+def _extension_covers(poset: FinitePoset) -> tuple[np.ndarray, ...]:
+    """A linear extension, its inverse, and the lower covers in extension positions.
 
-    The poset must have a bottom.  Going up a linear extension, x ^ t is x
-    when x <= t.  Otherwise every lower bound of {x, t} lies under a lower
-    cover c of x, hence under c ^ t, so x ^ t exists exactly when one
-    candidate c ^ t lies above all the others, and it is that candidate;
-    it has the largest down-set, so it comes latest in the extension, and
-    one `leq` lookup per candidate tells whether it dominates.  Steps are
-    batched into runs of the extension in which no member covers another,
-    split further so that a run of several elements gathers at most
-    _RUN_CHUNK candidate meets.  The columns are kept in extension
-    coordinates and mapped back at the end.
+    Returns ext, pos (pos[ext[i]] = i), lo and first, where the lower
+    covers of position i are lo[first[i]:first[i + 1]].
+    """
+    n = poset.size
+    ext = poset._linear_extension()
+    pos = np.empty(n, dtype=np.intp)
+    pos[ext] = np.arange(n)
+    lo, hi = _cover_pairs(poset)
+    by_pos = np.argsort(pos[hi], kind="stable")
+    lo, hi = pos[lo[by_pos]], pos[hi[by_pos]]
+    return ext, pos, lo, np.searchsorted(hi, np.arange(n + 1))
+
+
+def _runs(lo: np.ndarray, first: np.ndarray, width: int = 0) -> list[int]:
+    """Starts of the runs of the extension in which no member covers another, then N.
+
+    Such a run holds no two comparable elements: a chain from one member
+    up to another runs through the positions between them, so its last
+    step would be a cover inside the run.  Given `width` targets, a run of
+    several elements is also cut before its lower covers times the width
+    pass _RUN_CHUNK.  `lo` and `first` are as `_extension_covers` gives them.
+    """
+    n = len(first) - 1
+    latest = np.full(n, -1, dtype=np.intp)  # each position's latest lower cover
+    has = np.flatnonzero(np.diff(first))
+    if len(has):
+        latest[has] = np.maximum.reduceat(lo, first[has])
+    latest, edges = latest.tolist(), first.tolist()
+    runs = [0]
+    for i in range(1, n):
+        if latest[i] >= runs[-1] or (edges[i + 1] - edges[runs[-1]]) * width > _RUN_CHUNK:
+            runs.append(i)
+    runs.append(n)
+    return runs
+
+
+def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
+    """x ^ t for every element x and target t, in extension positions.
+
+    Row i of the N x len(targets) result is the element at position i of
+    the linear extension, and each entry the position of the meet;
+    `_by_index` turns it into element indices.  Raises NotALattice when a
+    meet is missing.  The poset must have a bottom.  Going up the
+    extension, x ^ t is x when x <= t.  Otherwise every lower bound of
+    {x, t} lies under a lower cover c of x, hence under c ^ t, so x ^ t
+    exists exactly when one candidate c ^ t lies above all the others, and
+    it is that candidate; it has the largest down-set, so it comes latest
+    in the extension, and one `leq` lookup per candidate tells whether it
+    dominates.  Steps are batched into the `_runs` of the extension, each
+    gathering at most _RUN_CHUNK candidate meets unless it is one element.
 
     A flagged pair whose target comes earlier than x stops the run; one
     whose target comes later does not, since with every element a target
@@ -434,21 +489,10 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
     by the target's extension position, or else the first flagged pair.
     """
     n, width = poset.size, len(targets)
-    ext = poset._linear_extension()
-    pos = np.empty(n, dtype=np.intp)
-    pos[ext] = np.arange(n)
-    lo, hi = _cover_pairs(poset)
-    by_pos = np.argsort(pos[hi], kind="stable")
-    lo, hi = pos[lo[by_pos]], pos[hi[by_pos]]
-    first = np.searchsorted(hi, np.arange(n + 1))  # position i's covers: first[i]:first[i + 1]
-    # ext[0] is the bottom, the one element without lower covers
-    latest = np.maximum.reduceat(lo, first[1:n]).tolist() if n > 1 else []
+    ext, pos, lo, first = _extension_covers(poset)
     edges = first.tolist()
-    runs = [1] if n > 1 else []
-    for i in range(2, n):
-        if latest[i - 1] >= runs[-1] or (edges[i + 1] - edges[runs[-1]]) * width > _RUN_CHUNK:
-            runs.append(i)
-    runs.append(n)
+    # ext[0] is the bottom, the one element without lower covers: a run of its own
+    runs = _runs(lo, first, width)[1:]
     dtype = np.int16 if n < 1 << 15 else np.int32
     under = poset.leq[np.ix_(ext, targets)]
     at = pos[targets]
@@ -474,7 +518,13 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
     if witness is not None:
         x, y = witness
         raise NotALattice(f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}")
-    return ext.astype(dtype)[cols[pos]]
+    return cols
+
+
+def _by_index(poset: FinitePoset, cols: np.ndarray) -> np.ndarray:
+    """`_meets_with`'s result in element indices: entry [x, j] is the index of x ^ t_j."""
+    ext = poset._linear_extension()
+    return ext.astype(cols.dtype)[cols[np.argsort(ext)]]  # row x is extension position pos[x]
 
 
 def _check_side(poset: FinitePoset) -> tuple[FinitePoset, np.ndarray]:

@@ -1,6 +1,7 @@
 """The three lattice families, their maps, and the claim suite."""
 
 import itertools
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,7 @@ from mobiuslat.families import (
     _mobius_identity_claim,
     _pack,
 )
+from mobiuslat.nbb import shuffled_order
 from mobiuslat.permutation import (
     Permutation,
     _avoider_words,
@@ -486,6 +488,25 @@ def test_random_order_claims_pass():
             assert random_order_claim(family, n, seed=0, trials=5).passed
 
 
+def test_random_order_claim_names_the_first_disagreeing_shuffle(monkeypatch):
+    # one row of the stacked column is off, shuffle 2's: the witness names
+    # it with the sequence shuffled_order draws from the claim's generator
+    true_column = families._mobius_column
+
+    def corrupted(view):
+        column = true_column(view).copy()
+        column[3 * (len(column) // 21)] += 1  # order 3, after the canonical one
+        return column
+
+    monkeypatch.setattr(families, "_mobius_column", corrupted)
+    lattice = build_family("C", 6).nbb_lattice
+    rng = random.Random("0:C:6")
+    sequences = [shuffled_order(lattice, rng).sequence for _ in range(3)]
+    claim = random_order_claim("C", 6, seed=0)
+    assert not claim.passed
+    assert claim.witness == f"shuffle 2 of {list(sequences[2])} disagrees"
+
+
 def test_verify_all_small():
     claims = verify_all(4, seed=0)
     assert all(c.passed for c in claims)
@@ -559,6 +580,28 @@ def test_chained_inversion_predicate_matches_per_word_loop():
                 for k in range(j + 1, n + 1)
             )
             assert flag == expect, w
+
+
+def column_by_column_chained(words):
+    """The earlier sweep: every earlier and every later entry of each column compared."""
+    chained = np.zeros(len(words), dtype=bool)
+    for j in range(1, words.shape[1] - 1):
+        mid = words[:, j : j + 1]
+        chained |= (words[:, :j] > mid).any(axis=1) & (words[:, j + 1 :] < mid).any(axis=1)
+    return chained
+
+
+def test_chained_sweep_matches_the_column_by_column_sweep(monkeypatch):
+    # all n! words for n <= 8, then random integer arrays with repeats and
+    # negative entries, with blocks of a few rows so that several are swept
+    for n in range(0, 9):
+        words = _avoider_words(n)
+        assert np.array_equal(_has_chained_inversions(words), column_by_column_chained(words)), n
+    monkeypatch.setattr(families, "_SUBSET_CHUNK", 40)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        words = rng.integers(-4, 5, size=(int(rng.integers(0, 60)), int(rng.integers(0, 9))))
+        assert np.array_equal(_has_chained_inversions(words), column_by_column_chained(words))
 
 
 def test_chained_inversion_claim_can_fail(monkeypatch):

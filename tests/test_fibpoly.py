@@ -118,12 +118,18 @@ def test_sparse_sets_rejects_nonpositive():
 
 def test_h_poly_counts_by_size():
     # coefficient of q^k = number of sparse sets with k+1 members
-    for n in range(1, 13):
+    for n in range(1, 19):
         sizes = [len(s) for s in sparse_sets(n)]
         want = [0] * max(sizes)
         for s in sizes:
             want[s - 1] += 1
         assert list(h_poly(n).coeffs) == want
+
+
+def test_h_poly_rejects_nonpositive():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            h_poly(n)
 
 
 def test_h_poly_examples():

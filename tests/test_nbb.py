@@ -318,6 +318,24 @@ def test_mobius_column_on_families(family):
                 column_case(shuffled_order(lat, rng))
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_stacked_search_rows_are_the_single_order_columns(family):
+    # T orders in one search: row t of the column is order t's own column,
+    # on the lattice NBB runs on and on its dual, one to five orders
+    rng = random.Random(f"stacked:{family}")
+    for n in range(1, 8):
+        fam = build_family(family, n)
+        for lat in (fam.nbb_lattice, fam.nbb_lattice.dual()):
+            sequences = [fam.canonical_order.sequence] if lat is fam.nbb_lattice else []
+            sequences += [shuffled_order(lat, rng).sequence for _ in range(1 + n % 4)]
+            view = nbb_module._Search(lat, sequences)
+            assert view.bottom.tolist() == [t * lat.size + lat.bottom for t in range(len(sequences))]
+            stacked = nbb_module._mobius_column(view).reshape(len(sequences), lat.size)
+            for t, seq in enumerate(sequences):
+                single = nbb_module._mobius_column(AtomOrder(lat, seq))
+                assert stacked[t].tolist() == single.tolist(), (n, t, seq)
+
+
 def mask_view_column(fam, order):
     """The mask view's column under a dense order of B's atoms, moved to dense indices."""
     lattice, n = fam.lattice, fam.n

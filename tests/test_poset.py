@@ -417,6 +417,46 @@ def test_support_recurrence_matches_dense_oracle(family, n):
             assert np.array_equal(fresh._mobius_from(xi), dense_mobius_from(p, xi))
 
 
+def loop_mobius_from(p, xi):
+    """The recurrence one element at a time along the extension, over mu(x, .)'s support."""
+    ext = np.argsort(p.leq.sum(axis=0), kind="stable")
+    ys = ext[p.leq[xi, ext]].tolist()
+    mu = np.zeros(p.size, dtype=np.int64)
+    support, vals = [], []
+    for y in ys:
+        value = (1 if y == xi else 0) - sum(v for z, v in zip(support, vals) if p.leq[z, y])
+        if value:
+            mu[y] = value
+            support.append(y)
+            vals.append(value)
+    return mu
+
+
+def random_poset(rng, k, density):
+    """A random order on k elements, indices shuffled, with any number of minima and maxima."""
+    leq = np.eye(k, dtype=bool) | np.triu(rng.random((k, k)) < density, 1)
+    for j in range(k):
+        leq |= np.outer(leq[:, j], leq[j])
+    perm = rng.permutation(k)
+    return FinitePoset([str(i) for i in perm], leq[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 18])
+def test_runwise_recurrence_matches_the_element_loop(monkeypatch, chunk):
+    # from every element, on A, B and C, on random posets with and without
+    # bounds, and on each dual; chunks of a few entries split the runs
+    monkeypatch.setattr(poset_module, "_MU_CHUNK", chunk)
+    posets = [build_family(f, n).lattice.poset for f, n in (("A", 7), ("B", 6), ("C", 8))]
+    rng = np.random.default_rng(chunk)
+    posets += [random_poset(rng, int(rng.integers(1, 16)), rng.uniform(0.05, 0.6)) for _ in range(20)]
+    posets += [random_bounded_poset(rng, int(rng.integers(0, 14)), rng.uniform(0.05, 0.6)) for _ in range(20)]
+    for p in posets:
+        fresh = FinitePoset(p.labels, p.leq)  # an empty Mobius cache
+        for q in (fresh, fresh.dual()):
+            for xi in range(q.size):
+                assert q._mobius_from(xi).tolist() == loop_mobius_from(q, xi).tolist(), (p.labels, xi)
+
+
 def test_mobius_of_dual_is_transpose():
     for p in (diamond(), m3(), cube()):
         assert np.array_equal(mobius_matrix(p.dual()), mobius_matrix(p).T)
@@ -513,7 +553,8 @@ def test_lattice_check_matches_meet_table(seed, inner, density):
                 if len(targets) == side.size:
                     assert str(failed.value) == table
             else:
-                assert np.array_equal(poset_module._meets_with(side, targets), table[:, targets])
+                cols = poset_module._meets_with(side, targets)
+                assert np.array_equal(poset_module._by_index(side, cols), table[:, targets])
         try:
             as_lattice(side)
             verdict = None
@@ -590,6 +631,16 @@ def test_as_lattice_never_returns_on_a_failed_check(monkeypatch):
     with pytest.raises(RuntimeError):
         as_lattice(cube())
     assert calls == [3, 8]
+
+
+def test_as_lattice_checks_without_relabeling(monkeypatch):
+    # the check reads the kernel's verdict only: its columns stay in
+    # extension positions, and no table is mapped back to element indices
+    monkeypatch.setattr(poset_module, "_by_index", lambda *args: pytest.fail("relabeled"))
+    for family in "ABC":
+        p = build_family(family, 6).lattice.poset
+        lattice = as_lattice(FinitePoset(p.labels, p.leq))
+        assert lattice.leq(lattice.bottom, lattice.top) and not lattice._tables
 
 
 def test_as_lattice_accepts_weak_orders():
