@@ -77,10 +77,12 @@ def _dense_bytes(family: str, n: int) -> int:
     The order matrix, one byte per entry, is held throughout.  Validation
     adds its packed rows: three arrays of an eighth of a byte per entry.
     The lattice check comes after and adds the meet kernel's N x k arrays
-    for its k irreducible targets, a boolean slice of the order and three
-    index arrays of 2 bytes per entry (4 from 2^15 elements); B is checked
-    on its avoiders with one descent, fewer than 2^n, and A and C on fewer
-    than n coatoms.  The elements, their labels and masks and the
+    for its k irreducible targets, a boolean slice of the order and an
+    index array of 2 bytes per entry (4 from 2^15 elements); the estimate
+    allows three index arrays, room for the kernel's bounded temporaries
+    (its traced peak at B9 is under half this term).  B is checked on its
+    avoiders with one descent, fewer than 2^n, and A and C on fewer than
+    n coatoms.  The elements, their labels and masks and the
     allocator's slack take under 2 KiB each: peak RSS above the
     interpreter's was 1.5 and 1.2 KiB per element past these arrays for
     B at n = 9 and 10.  No command builds a meet or join table.

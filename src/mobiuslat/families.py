@@ -259,13 +259,31 @@ def _table_free_mobius_b(n: int) -> tuple[int, int]:
 
 @dataclass(eq=False)
 class FamilyLattice:
-    """One of the families as a lattice, with its NBB furniture attached."""
+    """One of the families as a lattice, with its NBB furniture attached.
+
+    `words` holds the members in element order, the adjoined bound left
+    out: for A and B an (M, n) array of one-line words, for C the
+    composition words.
+    """
 
     family: str
     n: int
     lattice: BoundedLattice
     adjoined: str
-    elements: tuple
+    words: np.ndarray | list
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Each element's member by index, None at the adjoined bound.
+
+        A's and B's are `Permutation`s, built from `words` only when this
+        is first read; no command reads B's.
+        """
+        if self.family == "C":
+            members = tuple(self.words)
+        else:
+            members = tuple(Permutation(tuple(w)) for w in self.words.tolist())
+        return members + (None,) if self.family == "B" else (None,) + members
 
     @cached_property
     def nbb_lattice(self) -> BoundedLattice:
@@ -298,13 +316,15 @@ def _canonical_atom(family: str, n: int, i: int) -> str:
     return str(phi(n, theta(n, i)))
 
 
-def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
-    """The validated order of one family, its adjoined label and its elements.
+def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, np.ndarray | list]:
+    """The validated order of one family, its adjoined label and its members' words.
 
     Each is its members' bitmasks under containment plus the adjoined
     bound: inversion masks for A and B, packed from an array of their
-    words, and partial-sum masks for C.  B's word array is the walk's,
-    whose rows are also its members.  No lattice table is built, so what
+    words, and partial-sum masks for C.  B's word array is the walk's, and
+    its labels are read off it, so B builds no `Permutation`.  The words
+    come in element order, the adjoined bound left out, as
+    `FamilyLattice.words` keeps them.  No lattice table is built, so what
     needs only the order stops here.
     """
     if family not in ("A", "B", "C"):
@@ -312,33 +332,46 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, tuple]:
     if n < 1:
         raise ValueError("n must be positive")
     if family == "C":
-        members = composition_words(n)
-        labels, packed = [word_label(m) for m in members], _pack([_split_mask(m) for m in members])
-    elif family == "B":
-        words = avoiders_321(n)
-        members = [Permutation(tuple(w)) for w in words.tolist()]
-        labels, packed = [str(m) for m in members], inversion_limbs(words)[0]
+        words = composition_words(n)
+        labels, packed = [word_label(w) for w in words], _pack([_split_mask(w) for w in words])
     else:
-        members = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
-        words = np.array([m.word for m in members])
-        labels, packed = [str(m) for m in members], inversion_limbs(words)[0]
-    leq = np.zeros((len(members) + 1,) * 2, dtype=bool)
+        if family == "B":
+            words = avoiders_321(n)
+        else:
+            avoiders = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
+            words = np.array([p.word for p in avoiders], dtype=np.int8)
+        labels, packed = _word_labels(words), inversion_limbs(words)[0]
+    leq = np.zeros((len(words) + 1,) * 2, dtype=bool)
     if family == "B":
         leq[:, -1] = True
-        core, labels, elements = leq[:-1, :-1], labels + [TOP_LABEL], tuple(members) + (None,)
+        core, labels = leq[:-1, :-1], labels + [TOP_LABEL]
     else:
         leq[0] = True
-        core, labels, elements = leq[1:, 1:], [BOTTOM_LABEL] + labels, (None,) + tuple(members)
+        core, labels = leq[1:, 1:], [BOTTOM_LABEL] + labels
     _containment_order(packed, core)
     adjoined = TOP_LABEL if family == "B" else BOTTOM_LABEL
-    return FinitePoset(labels, leq), adjoined, elements
+    return FinitePoset(labels, leq), adjoined, words
+
+
+def _word_labels(words: np.ndarray) -> list[str]:
+    """`format_word` of each row of an (M, n) array of one-line words.
+
+    Up to degree 9 every value is one digit, so the rows offset by ord("0")
+    are the labels' bytes; beyond, the values are joined with commas.
+    """
+    n = words.shape[1]
+    if n <= 9:
+        digits = np.ascontiguousarray(words + ord("0"), dtype=np.uint8)
+        return digits.view(f"S{n}").ravel().astype(str).tolist()
+    names = [str(v) for v in range(n + 1)]
+    return [",".join(map(names.__getitem__, row)) for row in words.tolist()]
 
 
 @lru_cache(maxsize=None)
 def build_family(family: str, n: int) -> FamilyLattice:
     """Construct one of the lattices A, B or C at size n."""
-    poset, adjoined, elements = _family_poset(family, n)
-    return FamilyLattice(family, n, as_lattice(poset), adjoined, elements)
+    poset, adjoined, words = _family_poset(family, n)
+    return FamilyLattice(family, n, as_lattice(poset), adjoined, words)
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +380,7 @@ def weak_order_lattice(n: int) -> BoundedLattice:
     words = _avoider_words(n)
     leq = np.empty((len(words), len(words)), dtype=bool)
     _containment_order(inversion_limbs(words)[0], leq)
-    return as_lattice(FinitePoset([format_word(w) for w in words.tolist()], leq))
+    return as_lattice(FinitePoset(_word_labels(words), leq))
 
 
 # -- the A/C correspondence ----------------------------------------------
@@ -504,13 +537,13 @@ def _cover_words(words: np.ndarray, upward: bool) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(covers), np.concatenate(rows), np.concatenate(ks)
 
 
-def _closure_failures(members, patterns, upward: bool) -> list[str]:
-    """Upper (or lower) covers of the members that contain one of the patterns.
+def _closure_failures(words: np.ndarray, patterns, upward: bool) -> list[str]:
+    """Upper (or lower) covers of the rows of a word array that contain one of the patterns.
 
-    One line per such cover, in member order and, per member, by the k of
-    the swapped values k, k+1.
+    One line per such cover, in row order and, per row, by the k of the
+    swapped values k, k+1.
     """
-    covers, rows, ks = _cover_words(np.array([p.word for p in members], dtype=np.int8), upward)
+    covers, rows, ks = _cover_words(words, upward)
     hit = np.zeros(len(covers), dtype=bool)
     for pat in patterns:
         hit |= _contains_rows(covers, pat.word)
@@ -518,7 +551,7 @@ def _closure_failures(members, patterns, upward: bool) -> list[str]:
     found = found[np.lexsort((ks[found], rows[found]))]
     bad = []
     for i in found.tolist():
-        p, q = members[rows[i]], Permutation(tuple(covers[i].tolist()))
+        p, q = format_word(words[rows[i]].tolist()), format_word(covers[i].tolist())
         bad.append(f"{p} < {q} leaves the family" if upward else f"{q} < {p} leaves the family")
     return bad
 
@@ -527,20 +560,20 @@ def verify_structure(n: int) -> list[ClaimResult]:
     """Check the structural claims about the families at size n.
 
     The closure claims test every cover of every member at once with
-    `_contains_rows`; the members are the cached family lattices' elements,
-    less the adjoined bound.  The swap claims test their few words one at a
+    `_contains_rows`; the members are the rows of the cached family
+    lattices' word arrays.  The swap claims test their few words one at a
     time with `contains_pattern`.
     """
     claims: list[ClaimResult] = []
     avoids_b = lambda p: not contains_pattern(p, Permutation((3, 2, 1)))
-    family_a = build_family("A", n).elements[1:]
-    family_b = build_family("B", n).elements[:-1]
+    fam_a = build_family("A", n)
+    family_a = fam_a.elements[1:]
 
     # upward closure: an order filter is exactly a set closed under upper covers
-    bad = _closure_failures(family_a, AVOIDED_PATTERNS["A"], upward=True)
+    bad = _closure_failures(fam_a.words, AVOIDED_PATTERNS["A"], upward=True)
     claims.append(_claim("avoiders-upward-closed", "A", n, bad))
 
-    bad = _closure_failures(family_b, AVOIDED_PATTERNS["B"], upward=False)
+    bad = _closure_failures(build_family("B", n).words, AVOIDED_PATTERNS["B"], upward=False)
     claims.append(_claim("avoiders-downward-closed", "B", n, bad))
 
     bad = [
@@ -620,10 +653,11 @@ def verify_structure(n: int) -> list[ClaimResult]:
 
 def _join_of_atoms(lattice: BoundedLattice, labels) -> int:
     """Join of the labelled atoms, folded through the atom join columns."""
-    cols, atoms = lattice.atom_join_columns(), lattice.atoms()
+    cols = lattice.atom_join_columns()
+    row = {atom: r for r, atom in enumerate(lattice.atoms())}
     acc = lattice.bottom
     for label in labels:
-        acc = int(cols[atoms.index(lattice.poset.index(label)), acc])
+        acc = int(cols[row[lattice.poset.index(label)], acc])
     return acc
 
 

@@ -12,12 +12,12 @@ that reach, and only the bytes that hold a cover are unpacked.
 Mobius values come straight from the defining recurrence (the value at
 (x, z) makes the interval sums telescope to a delta), evaluated bottom-up
 along a linear extension a run at a time.  The runs are the stretches of
-the extension in which no member covers another, the same ones the meet
-kernel below takes; no member of such a run lies below another, so the
-values of a whole run are one product of the values found so far with a
-block of the order.  Only the support of mu(x, .) enters the sums, since
-zero terms add nothing.  This module is the oracle the rest of the
-package is measured against.
+the extension in which no member covers another, which the meet kernel
+below cuts into pieces; no member of such a run lies below another, so
+the values of a whole run are one product of the values found so far
+with a block of the order.  Only the support of mu(x, .) enters the
+sums, since zero terms add nothing.  This module is the oracle the rest
+of the package is measured against.
 
 Lattice promotion checks meets with the meet-irreducibles only, the
 elements M with exactly one upper cover.  In a finite poset P with bottom
@@ -38,14 +38,24 @@ reads: the meets x ^ t of all elements x with given targets t, going up a
 linear extension.  If x <= t the meet is x.  Otherwise any lower bound of
 {x, t} sits under some lower cover c of x, so x ^ t must be the largest
 of the c ^ t; when no single candidate dominates the others the pair is
-flagged, for it has no meet.  The lattice check runs it with the
-irreducibles as targets, the meet table with every element, and the join
-table on the dual.  The NBB search reads only the joins x v a with the
-atoms a, which are the kernel on the dual with the atoms as targets.
-The kernel answers in extension positions: the tables and the atom joins
-map its columns back to element indices, and the check reads only whether
-it raised.  Every table is built only when asked for, and shared with
-the dual.
+flagged, for it has no meet.  The candidate that comes latest in the
+extension is the only one that can dominate, and the kernel reads `leq`
+only where that test can fail: a candidate equal to the latest lies
+below it because the order is reflexive, and a row with x <= t answers
+x whatever its candidates are.  On B that leaves a few percent of the
+entries.  The latest candidate of every row of a piece is one maximum
+over a block in which each element's lower covers are padded to the
+piece's widest with copies of its own last cover; a copy is a candidate
+the row already has, so it moves neither the maximum nor the outcome of
+the test.
+The lattice check runs the kernel with the irreducibles as targets, the
+meet table with every element, and the join table on the dual.  The NBB
+search reads only the joins x v a with the atoms a, which are the kernel
+on the dual with the atoms as targets.  The kernel answers in extension
+positions: the tables and the atom joins map its columns back to element
+indices, and the check reads only whether it raised.  Every table is
+built only when asked for, and shared with the dual; the extension, its
+covers and runs, and the Mobius columns are kept per orientation too.
 
 A failed check runs the kernel again with every element as a target, to
 name a witness: the pair without a meet whose later element comes
@@ -88,7 +98,7 @@ class NotALattice(ValueError):
 # Work is chunked so that no temporary comes near N^2 bytes: the glibc heap
 # keeps what a large temporary freed, and peak RSS follows the largest one.
 _PAIR_CHUNK = 1 << 12  # comparable pairs gathered at once during validation
-_RUN_CHUNK = 1 << 16  # candidate meets gathered at once by the meet kernel
+_RUN_CHUNK = 1 << 16  # candidate meets, padded, gathered at once by the meet kernel
 _MU_CHUNK = 1 << 18  # order entries (support by run members) summed at once by the recurrence
 
 
@@ -181,7 +191,11 @@ class FinitePoset:
         self.leq = leq.view()
         self.leq.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._mobius_cols: dict[int, np.ndarray] = {}
+        # what is derived from one orientation of the order, kept in a store
+        # shared with the dual under (side, key): the extension and its
+        # covers, its runs, and the Mobius columns
+        self._store: dict = {}
+        self._side = 0
 
     # -- construction -----------------------------------------------------
 
@@ -250,14 +264,17 @@ class FinitePoset:
         d.leq = self.leq.T
         d._covers = self._covers[::-1]
         d._up_sizes, d._down_sizes = self._down_sizes, self._up_sizes
-        d._mobius_cols = {}
+        d._side = 1 - self._side
         return d
 
-    # -- Mobius values ------------------------------------------------------
+    def _derived(self, key, build):
+        """What `build` returns for this orientation, built once and kept in the shared store."""
+        value = self._store.get((self._side, key))
+        if value is None:
+            value = self._store[(self._side, key)] = build()
+        return value
 
-    def _linear_extension(self) -> np.ndarray:
-        # sorting by down-set size puts every element after all it covers
-        return np.argsort(self._down_sizes, kind="stable")
+    # -- Mobius values ------------------------------------------------------
 
     def _mobius_from(self, xi: int) -> np.ndarray:
         """Vector of mu(x, y) over all y, zero where x is not below y.
@@ -268,12 +285,12 @@ class FinitePoset:
         mu(x, z) over the z below y found so far.  Only the support of
         mu(x, .) is kept for the sums, the z with mu(x, z) != 0, and a run
         is summed against it in chunks of at most _MU_CHUNK order entries.
+        The column, like the extension and its runs, is kept in the store.
         """
-        col = self._mobius_cols.get(xi)
-        if col is None:
-            ext, _, lo, first = _extension_covers(self)
+        def build():
+            ext, _, _, _, runs = _extension_covers(self)
             up = np.flatnonzero(self.leq[xi, ext])  # the extension positions above x
-            run_of = np.searchsorted(_runs(lo, first), up, side="right")
+            run_of = np.searchsorted(runs, up, side="right")
             mu = np.zeros(self.size, dtype=np.int64)
             support, vals = up[:0], mu[:0]
             for run in np.split(ext[up], np.flatnonzero(np.diff(run_of)) + 1):
@@ -284,10 +301,10 @@ class FinitePoset:
                 kept = run[mu[run] != 0]
                 support = np.concatenate((support, kept))
                 vals = np.concatenate((vals, mu[kept]))
-            col = mu
-            col.setflags(write=False)
-            self._mobius_cols[xi] = col
-        return col
+            mu.setflags(write=False)
+            return mu
+
+        return self._derived(("mobius", xi), build)
 
     def mobius(self, x, z) -> int:
         """mu(x, z) by the interval recurrence."""
@@ -399,9 +416,14 @@ class BoundedLattice:
         """Elements covering the bottom, in element-index order.
 
         The bottom lies under every element, so x covers it exactly when
-        x's down-set is {bottom, x}.
+        x's down-set is {bottom, x}.  Found once per orientation and kept
+        in the table store; each call returns a new list, which the caller
+        may shuffle.
         """
-        return np.flatnonzero(self.poset._down_sizes == 2).tolist()
+        found = self._table(
+            "atoms", self._side, lambda: tuple(np.flatnonzero(self.poset._down_sizes == 2).tolist())
+        )
+        return list(found)
 
     def coatoms(self) -> list[int]:
         """Elements covered by the top, in element-index order: up-sets {x, top}."""
@@ -429,42 +451,76 @@ def _cover_pairs(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extension_covers(poset: FinitePoset) -> tuple[np.ndarray, ...]:
-    """A linear extension, its inverse, and the lower covers in extension positions.
+    """A linear extension, its inverse, the lower covers in extension positions, its runs.
 
-    Returns ext, pos (pos[ext[i]] = i), lo and first, where the lower
-    covers of position i are lo[first[i]:first[i + 1]].
+    Returns ext, pos (pos[ext[i]] = i), lo, first and runs, where the
+    lower covers of position i are lo[first[i]:first[i + 1]] and runs is
+    `_runs`'s.  Built once per orientation, and kept in the poset's store.
     """
-    n = poset.size
-    ext = poset._linear_extension()
-    pos = np.empty(n, dtype=np.intp)
-    pos[ext] = np.arange(n)
-    lo, hi = _cover_pairs(poset)
-    by_pos = np.argsort(pos[hi], kind="stable")
-    lo, hi = pos[lo[by_pos]], pos[hi[by_pos]]
-    return ext, pos, lo, np.searchsorted(hi, np.arange(n + 1))
+    def build():
+        n = poset.size
+        # sorting by down-set size puts every element after all it covers
+        ext = np.argsort(poset._down_sizes, kind="stable")
+        pos = np.empty(n, dtype=np.intp)
+        pos[ext] = np.arange(n)
+        lo, hi = _cover_pairs(poset)
+        by_pos = np.argsort(pos[hi], kind="stable")
+        lo, hi = pos[lo[by_pos]], pos[hi[by_pos]]
+        first = np.searchsorted(hi, np.arange(n + 1))
+        return ext, pos, lo, first, _runs(lo, first)
+
+    return poset._derived("extension", build)
 
 
-def _runs(lo: np.ndarray, first: np.ndarray, width: int = 0) -> list[int]:
+def _runs(lo: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Starts of the runs of the extension in which no member covers another, then N.
 
     Such a run holds no two comparable elements: a chain from one member
     up to another runs through the positions between them, so its last
-    step would be a cover inside the run.  Given `width` targets, a run of
-    several elements is also cut before its lower covers times the width
-    pass _RUN_CHUNK.  `lo` and `first` are as `_extension_covers` gives them.
+    step would be a cover inside the run.  `lo` and `first` are as
+    `_extension_covers` gives them.
     """
     n = len(first) - 1
     latest = np.full(n, -1, dtype=np.intp)  # each position's latest lower cover
     has = np.flatnonzero(np.diff(first))
     if len(has):
         latest[has] = np.maximum.reduceat(lo, first[has])
-    latest, edges = latest.tolist(), first.tolist()
     runs = [0]
-    for i in range(1, n):
-        if latest[i] >= runs[-1] or (edges[i + 1] - edges[runs[-1]]) * width > _RUN_CHUNK:
+    for i, cover in enumerate(latest.tolist()):
+        if cover >= runs[-1]:
             runs.append(i)
     runs.append(n)
-    return runs
+    return np.array(runs)
+
+
+def _padded_covers(lo: np.ndarray, first: np.ndarray, runs: np.ndarray, width: int):
+    """The runs cut into pieces, and each piece's lower covers as a padded block.
+
+    Every member of a piece gets as many slots as the piece's widest
+    member has lower covers, and fills those past its own with its last
+    cover.  A run whose widest member has D lower covers is cut every
+    _RUN_CHUNK // (D * width) members, at least one, so a piece of several
+    members gathers at most _RUN_CHUNK candidate meets for `width` targets.
+    A piece's block holds slot 0 of each member, then slot 1, and so on;
+    the blocks lie one after another in one flat array of extension
+    positions.  Returns the piece starts then N, as a list, the flat
+    array, and the block bounds: piece k's is covers[bounds[k]:bounds[k + 1]].
+    """
+    degree = np.diff(first)
+    size = np.diff(runs)
+    step = _RUN_CHUNK // np.maximum(np.maximum.reduceat(degree, runs[:-1]) * width, 1)
+    step = np.maximum(step, 1)
+    count = -(-size // step)
+    piece = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    pieces = np.append(np.repeat(runs[:-1], count) + piece * np.repeat(step, count), runs[-1])
+    members = np.diff(pieces)
+    block = members * np.maximum.reduceat(degree, pieces[:-1])
+    bounds = np.cumsum(block) - block
+    entry = np.arange(block.sum()) - np.repeat(bounds, block)
+    slot, member = np.divmod(entry, np.repeat(members, block))
+    member += np.repeat(pieces[:-1], block)
+    covers = lo[np.minimum(first[member] + slot, first[member + 1] - 1)]
+    return pieces.tolist(), covers, bounds.tolist() + [len(covers)]
 
 
 def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
@@ -478,9 +534,16 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
     {x, t} lies under a lower cover c of x, hence under c ^ t, so x ^ t
     exists exactly when one candidate c ^ t lies above all the others, and
     it is that candidate; it has the largest down-set, so it comes latest
-    in the extension, and one `leq` lookup per candidate tells whether it
-    dominates.  Steps are batched into the `_runs` of the extension, each
-    gathering at most _RUN_CHUNK candidate meets unless it is one element.
+    in the extension.  `leq` is read only for the candidates that differ
+    from their row's latest, in rows where x is not below t: a candidate
+    equal to the latest lies below it, as the order is reflexive, and a
+    row with x <= t answers x whatever its candidates are.  Steps are
+    batched into pieces of the `_runs` of the extension, the pieces of
+    `_padded_covers`.  A piece's candidates are one gather from its
+    block, as (slots, members, targets), and each row's latest is their
+    maximum over the slots; a padding slot repeats the member's last
+    cover, a candidate the row already has, so it changes neither the
+    maximum nor the test.
 
     A flagged pair whose target comes earlier than x stops the run; one
     whose target comes later does not, since with every element a target
@@ -489,24 +552,28 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
     by the target's extension position, or else the first flagged pair.
     """
     n, width = poset.size, len(targets)
-    ext, pos, lo, first = _extension_covers(poset)
-    edges = first.tolist()
-    # ext[0] is the bottom, the one element without lower covers: a run of its own
-    runs = _runs(lo, first, width)[1:]
+    ext, pos, lo, first, runs = _extension_covers(poset)
+    pieces, covers, bounds = _padded_covers(lo, first, runs, width)
     dtype = np.int16 if n < 1 << 15 else np.int32
-    under = poset.leq[np.ix_(ext, targets)]
+    # beyond[x, j]: x is not below target j; rows by element index, read through ext
+    beyond = poset.leq[:, targets]
+    np.logical_not(beyond, out=beyond)
     at = pos[targets]
+    positions = np.arange(n, dtype=dtype)[:, None]
     cols = np.zeros((n, width), dtype=dtype)
     witness = None
-    for s, e in zip(runs, runs[1:]):
-        cands = cols[lo[edges[s] : edges[e]]]
-        starts = first[s:e] - edges[s]
-        best = np.maximum.reduceat(cands, starts, axis=0)
-        spread = np.repeat(best, np.diff(first[s : e + 1]), axis=0)
-        below = poset.leq[ext[cands], ext[spread]]
-        bad = ~(np.logical_and.reduceat(below, starts, axis=0) | under[s:e])
-        if bad.any():
-            rows, hit = np.nonzero(bad)
+    # ext[0] is the bottom, the one element without lower covers: a piece of its own
+    for s, e, a, b in zip(pieces[1:], pieces[2:], bounds[1:], bounds[2:]):
+        cands = cols[covers[a:b]].reshape((b - a) // (e - s), e - s, width)
+        best = cands.max(axis=0)
+        out = beyond[ext[s:e]]
+        test = cands != best
+        test &= out
+        flat = np.flatnonzero(test)
+        entry = flat % best.size  # the (member, target) entry of each tested candidate
+        below = poset.leq[ext[cands.reshape(-1)[flat]], ext[best.reshape(-1)[entry]]]
+        if not below.all():
+            rows, hit = np.divmod(entry[~below], width)
             rows, hit = rows + s, at[hit]
             i = int(np.argmin((hit > rows) * n * n + rows * n + hit))  # earlier targets first
             early = hit[i] < rows[i]
@@ -514,7 +581,7 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
                 witness = ext[rows[i]], ext[hit[i]]
             if early:
                 break
-        cols[s:e] = np.where(under[s:e], np.arange(s, e, dtype=dtype)[:, None], best)
+        cols[s:e] = np.where(out, best, positions[s:e])
     if witness is not None:
         x, y = witness
         raise NotALattice(f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}")
@@ -523,8 +590,8 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
 
 def _by_index(poset: FinitePoset, cols: np.ndarray) -> np.ndarray:
     """`_meets_with`'s result in element indices: entry [x, j] is the index of x ^ t_j."""
-    ext = poset._linear_extension()
-    return ext.astype(cols.dtype)[cols[np.argsort(ext)]]  # row x is extension position pos[x]
+    ext, pos = _extension_covers(poset)[:2]
+    return ext.astype(cols.dtype)[cols[pos]]  # row x is extension position pos[x]
 
 
 def _check_side(poset: FinitePoset) -> tuple[FinitePoset, np.ndarray]:

@@ -1,5 +1,6 @@
 """The three lattice families, their maps, and the claim suite."""
 
+import functools
 import itertools
 import random
 from types import SimpleNamespace
@@ -45,6 +46,7 @@ from mobiuslat.families import (
     _mobius_by_rank,
     _mobius_identity_claim,
     _pack,
+    _word_labels,
 )
 from mobiuslat.nbb import shuffled_order
 from mobiuslat.permutation import (
@@ -56,6 +58,7 @@ from mobiuslat.permutation import (
     avoiders_321,
     contains_pattern,
     enumerate_avoiders,
+    format_word,
     inversion_limbs,
     inversion_mask,
     inversion_set,
@@ -555,9 +558,9 @@ def per_word_order(perms):
 def test_word_array_builds_match_per_word_masks():
     # A and S_n pack their masks from word arrays; the per-word masks are the oracle
     for n in range(1, 10):
-        poset, _, elements = _family_poset("A", n)
+        poset, _, words = _family_poset("A", n)
         members = enumerate_avoiders(n, AVOIDED_PATTERNS["A"])
-        assert elements == (None,) + tuple(members)
+        assert words.tolist() == [list(p.word) for p in members]
         assert poset.labels == (BOTTOM_LABEL,) + tuple(str(p) for p in members)
         assert np.array_equal(poset.leq[1:, 1:], per_word_order(members)) and poset.leq[0].all()
     for n in range(1, 7):
@@ -688,9 +691,65 @@ def test_closure_failures_match_the_list_comprehension():
         for members, patterns in subsets:
             for upward in (True, False):
                 expect = closure_oracle(members, patterns, upward)
-                assert _closure_failures(members, patterns, upward) == expect, (n, patterns, upward)
+                words = np.array([p.word for p in members], dtype=np.int8)
+                assert _closure_failures(words, patterns, upward) == expect, (n, patterns, upward)
                 failing += len(expect) > 1
         assert failing >= 6, n
+
+
+def test_closure_failures_on_b_words_with_an_injected_non_avoider():
+    # B's own word array is closed downward; a row 4321... put in its middle
+    # is not, since its lower covers hold 321, and the failures name it as
+    # the members' comprehension does
+    for n in (4, 6):
+        words = avoiders_321(n)
+        bad = np.array([4, 3, 2, 1] + list(range(5, n + 1)), dtype=words.dtype)
+        words = np.insert(words, len(words) // 2, bad, axis=0)
+        members = [Permutation(tuple(w)) for w in words.tolist()]
+        for upward in (True, False):
+            expect = closure_oracle(members, AVOIDED_PATTERNS["B"], upward)
+            assert _closure_failures(words, AVOIDED_PATTERNS["B"], upward) == expect, (n, upward)
+        named = f"< {members[len(words) // 2]} leaves the family"
+        assert len(expect) == 3 and all(line.endswith(named) for line in expect)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_word_labels_are_format_word(n):
+    # n = 10 is past the single digits, where format_word puts commas
+    words = avoiders_321(n)
+    assert _word_labels(words) == [format_word(w) for w in words.tolist()]
+    assert _word_labels(words.astype(np.int64)) == _word_labels(words)
+
+
+def test_elements_are_the_members_when_read():
+    for n in range(1, 9):
+        b = build_family.__wrapped__("B", n)
+        assert "elements" not in vars(b)
+        assert b.elements == tuple(Permutation(tuple(w)) for w in avoiders_321(n).tolist()) + (None,)
+        assert b.lattice.labels == tuple(str(p) for p in b.elements[:-1]) + (TOP_LABEL,)
+        a = build_family.__wrapped__("A", n)
+        assert a.elements == (None,) + tuple(enumerate_avoiders(n, AVOIDED_PATTERNS["A"]))
+        assert build_family.__wrapped__("C", n).elements == (None,) + tuple(composition_words(n))
+
+
+def test_dense_b_builds_no_permutation(monkeypatch):
+    made = []
+    post_init = Permutation.__post_init__
+
+    def counted(self):
+        made.append(self.word)
+        post_init(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    build_family.__wrapped__("B", 9)
+    assert made == []
+    # verify on lattices of its own: it reads no B element, and the few
+    # permutations its claims name are far fewer than B's members
+    fresh = functools.lru_cache(maxsize=None)(build_family.__wrapped__)
+    monkeypatch.setattr(families, "build_family", fresh)
+    assert all(c.passed for c in verify_all(8))
+    assert not [n for n in range(1, 9) if "elements" in vars(fresh("B", n))]
+    assert sum(len(w) == 8 for w in made) < len(avoiders_321(8))
 
 
 @pytest.mark.parametrize("family", ["A", "B"])

@@ -1,5 +1,6 @@
 """Finite posets: construction, Mobius values, lattice promotion."""
 
+import copy
 import itertools
 import random
 import re
@@ -457,6 +458,22 @@ def test_runwise_recurrence_matches_the_element_loop(monkeypatch, chunk):
                 assert q._mobius_from(xi).tolist() == loop_mobius_from(q, xi).tolist(), (p.labels, xi)
 
 
+@pytest.mark.parametrize("family,n", [("B", 8), ("C", 12)])
+def test_mobius_sweep_through_the_kept_extension_matches_an_empty_store(family, n):
+    # 200 seeded sources on each orientation read the extension and runs the
+    # store keeps for it; a copy whose store starts empty builds them again
+    lat = build_family(family, n).lattice
+    rng = np.random.default_rng(n)
+    for p in (lat.poset, lat.poset.dual()):
+        for xi in rng.integers(0, p.size, 200).tolist():
+            uncached = copy.copy(p)
+            uncached._store = {}
+            column = uncached._mobius_from(xi)
+            assert np.array_equal(p._mobius_from(xi), column), (family, xi)
+            z = int(rng.choice(np.flatnonzero(p.leq[xi])))
+            assert p.mobius(xi, z) == column[z]
+
+
 def test_mobius_of_dual_is_transpose():
     for p in (diamond(), m3(), cube()):
         assert np.array_equal(mobius_matrix(p.dual()), mobius_matrix(p).T)
@@ -561,6 +578,105 @@ def test_lattice_check_matches_meet_table(seed, inner, density):
         except NotALattice as exc:
             verdict = str(exc)
         assert verdict == (table if isinstance(table, str) else None)
+
+
+def oracle_meets_with(poset, targets):
+    """The meet kernel with no entry left untested: the oracle for `_meets_with`.
+
+    Every candidate c ^ t, equal to its row's latest or not and whether or
+    not x <= t, is looked up in `leq` against the latest, each row's latest
+    comes from `np.maximum.reduceat` over its own lower covers, unpadded,
+    and the rows x <= t are gathered as `leq[np.ix_(ext, targets)]`.  It
+    takes the runs of the extension uncut, so `_RUN_CHUNK` leaves it alone.
+    """
+    n, width = poset.size, len(targets)
+    ext, pos, lo, first, runs = poset_module._extension_covers(poset)
+    edges, runs = first.tolist(), runs[1:].tolist()
+    dtype = np.int16 if n < 1 << 15 else np.int32
+    under = poset.leq[np.ix_(ext, targets)]
+    at = pos[targets]
+    cols = np.zeros((n, width), dtype=dtype)
+    witness = None
+    for s, e in zip(runs, runs[1:]):
+        cands = cols[lo[edges[s] : edges[e]]]
+        starts = first[s:e] - edges[s]
+        best = np.maximum.reduceat(cands, starts, axis=0)
+        spread = np.repeat(best, np.diff(first[s : e + 1]), axis=0)
+        below = poset.leq[ext[cands], ext[spread]]
+        bad = ~(np.logical_and.reduceat(below, starts, axis=0) | under[s:e])
+        if bad.any():
+            rows, hit = np.nonzero(bad)
+            rows, hit = rows + s, at[hit]
+            i = int(np.argmin((hit > rows) * n * n + rows * n + hit))
+            early = hit[i] < rows[i]
+            if early or witness is None:
+                witness = ext[rows[i]], ext[hit[i]]
+            if early:
+                break
+        cols[s:e] = np.where(under[s:e], np.arange(s, e, dtype=dtype)[:, None], best)
+    if witness is not None:
+        x, y = witness
+        raise NotALattice(f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}")
+    return cols
+
+
+def kernel_or_message(kernel, poset, targets):
+    try:
+        return kernel(poset, targets)
+    except NotALattice as exc:
+        return str(exc)
+
+
+def kernel_cases(p):
+    """(poset, targets) pairs on p and its dual: the check side, the atom joins, every element."""
+    for q in (p, p.dual()):
+        yield poset_module._check_side(q)
+        yield q.dual(), np.flatnonzero(q._down_sizes == 2)  # x v a over the atoms a of q
+        yield q, np.arange(q.size)
+
+
+def assert_kernel_matches_oracle(monkeypatch, posets):
+    for p in posets:
+        for q, targets in kernel_cases(p):
+            expect = kernel_or_message(oracle_meets_with, q, targets)
+            for chunk in (1, 7, 1 << 16):
+                monkeypatch.setattr(poset_module, "_RUN_CHUNK", chunk)
+                got = kernel_or_message(poset_module._meets_with, q, targets)
+                if isinstance(expect, str):
+                    assert isinstance(got, str) and got == expect, (p.labels, chunk)
+                else:
+                    assert np.array_equal(got, expect), (p.labels, chunk)
+
+
+def test_meet_kernel_matches_the_oracle_on_the_families(monkeypatch):
+    posets = [build_family(f, n).lattice.poset for f in "ABC" for n in range(1, 9)]
+    assert_kernel_matches_oracle(monkeypatch, posets)
+
+
+def test_meet_kernel_matches_the_oracle_on_random_bounded_posets(monkeypatch):
+    rng = np.random.default_rng(20)
+    posets = [random_bounded_poset(rng, int(rng.integers(0, 16)), rng.uniform(0.05, 0.6)) for _ in range(150)]
+    verdicts = [isinstance(kernel_or_message(oracle_meets_with, p, np.arange(p.size)), str) for p in posets]
+    assert 20 <= sum(verdicts) <= 130  # lattices and non-lattices both
+    assert_kernel_matches_oracle(monkeypatch, posets)
+
+
+def test_meet_kernel_stays_under_the_dense_estimate_at_b9():
+    # the N x k term of cli._dense_bytes at B9: its k = 2^9 bounds the check's
+    # targets, and 1 + 3 * 2 bytes per entry the kernel's N x k arrays
+    from mobiuslat import cli
+
+    poset = build_family("B", 9).lattice.poset
+    side, targets = poset_module._check_side(FinitePoset(poset.labels, poset.leq))
+    count = cli._element_count("B", 9)
+    assert side.size == count and len(targets) <= 2**9
+    tracemalloc.start()
+    try:
+        poset_module._meets_with(side, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * 2**9 * (1 + 3 * 2)
 
 
 def test_check_that_flags_only_later_targets_still_fails():
@@ -724,6 +840,19 @@ def test_shuffled_orders_leave_atoms_sorted():
     shuffled_order(lat, rng)
     shuffled_order(lat, rng)
     assert lat.atoms() == atoms == sorted(atoms)
+
+
+def test_atoms_are_kept_per_orientation_and_returned_as_new_lists():
+    lat = as_lattice(cube())
+    atoms = lat.atoms()
+    atoms.reverse()
+    atoms.append(lat.top)
+    assert lat.atoms() == [1, 2, 3] and lat.atoms() is not lat.atoms()
+    assert lat._tables[("atoms", 0)] == (1, 2, 3)
+    coatoms = lat.dual().atoms()
+    coatoms.clear()
+    assert lat.dual().atoms() == lat.coatoms() == [4, 5, 6]
+    assert ("atoms", 1) in lat._tables
 
 
 def test_interval_lattice():
