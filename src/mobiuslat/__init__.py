@@ -10,18 +10,16 @@ suite exercising every structural claim at desk scale.
 from .fibpoly import IntPolynomial, fib_poly, h_poly, sparse_sets
 from .families import (
     BOTTOM_LABEL,
+    CLAIMS,
     TOP_LABEL,
     ClaimResult,
     FamilyLattice,
     build_family,
     composition_words,
-    isomorphism_claim,
     mobius_summary,
-    nbb_prediction_claim,
     phi,
     predicted_nbb_bases,
     psi,
-    random_order_claim,
     sparse_signed_sum,
     theta,
     theta_meet,
@@ -64,6 +62,7 @@ __all__ = [
     "AtomOrder",
     "BOTTOM_LABEL",
     "BoundedLattice",
+    "CLAIMS",
     "ClaimResult",
     "CycleDetected",
     "DegreeMismatch",
@@ -87,15 +86,12 @@ __all__ = [
     "h_poly",
     "inversion_set",
     "is_bounded_below",
-    "isomorphism_claim",
     "mobius_summary",
     "mobius_via_nbb",
     "nbb_bases_of",
-    "nbb_prediction_claim",
     "phi",
     "predicted_nbb_bases",
     "psi",
-    "random_order_claim",
     "shuffled_order",
     "sparse_sets",
     "sparse_signed_sum",

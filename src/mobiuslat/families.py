@@ -18,6 +18,11 @@ subsets of [n-2] in both B (atom side) and C (coatom side); the functions
 here produce those predictions and verify every structural claim at a
 given size.
 
+`CLAIMS` lists every claim `verify` checks, each with the sizes it is
+checked at, in the order `verify` reports them: the structural claims size
+by size first, as `verify_structure` runs them, then every other claim over
+its sizes, one claim after another.
+
 B's Mobius number also has two routes that build no lattice: a recurrence
 over the packed inversion masks (`_mobius_by_rank`) and the NBB sum on a
 view that joins masks as the passes reach them (`_MaskView`).
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -306,6 +312,22 @@ class FamilyLattice:
         )
         return AtomOrder(self.nbb_lattice, seq)
 
+    def _canonical_join(self, indices) -> int:
+        """Join in `nbb_lattice` of the canonical atoms i: s_i in B, theta_i in A and C.
+
+        Atom i sits at position i - 1 of the canonical order; the join is
+        folded through the atom join columns, their rows found once per n.
+        """
+        cols, acc = self.nbb_lattice.atom_join_columns(), self.nbb_lattice.bottom
+        for i in indices:
+            acc = int(cols[self._canonical_rows[i - 1], acc])
+        return acc
+
+    @cached_property
+    def _canonical_rows(self) -> list[int]:
+        row = {atom: r for r, atom in enumerate(self.nbb_lattice.atoms())}
+        return [row[atom] for atom in self.canonical_order.sequence]
+
 
 def _canonical_atom(family: str, n: int, i: int) -> str:
     """Label of canonical atom (B) or coatom (A, C) number i, 1 <= i < n."""
@@ -460,8 +482,8 @@ def theta_meet(n: int, indices) -> str:
         shifted = {i - t for t, i in enumerate(idx)}
         word = tuple(2 if p in shifted else 1 for p in range(1, n - len(idx) + 1))
         return word_label(word)
-    lattice = build_family("C", n).nbb_lattice
-    return lattice.labels[_join_of_atoms(lattice, (word_label(theta(n, i)) for i in idx))]
+    fam = build_family("C", n)
+    return fam.nbb_lattice.labels[fam._canonical_join(idx)]
 
 
 def predicted_nbb_bases(family: str, n: int) -> list[tuple[str, ...]]:
@@ -514,8 +536,27 @@ class ClaimResult:
         return out
 
 
-def _claim(id: str, family: str, n: int, failures: list[str]) -> ClaimResult:
-    return ClaimResult(id, family, n, not failures, failures[0] if failures else None)
+def _upto(first: int, last: int | None = None) -> Callable[[int], range]:
+    """Sizes from first through max_n, and through last at most."""
+    return lambda max_n: range(first, min(max_n, last or max_n) + 1)
+
+
+@dataclass
+class Claim:
+    """One claim `verify` checks, with its family, or "-" for none.
+
+    `sizes(max_n)` gives the sizes `verify --max-n max_n` checks it at, and
+    `check(n, seed)` its failures at size n, the first of which is the witness.
+    """
+
+    id: str
+    family: str
+    check: Callable[[int, int], list[str]]
+    sizes: Callable[[int], Sequence[int]] = _upto(1)
+
+    def run(self, n: int, seed: int = 0) -> ClaimResult:
+        failures = self.check(n, seed)
+        return ClaimResult(self.id, self.family, n, not failures, failures[0] if failures else None)
 
 
 def _cover_words(words: np.ndarray, upward: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -557,108 +598,78 @@ def _closure_failures(words: np.ndarray, patterns, upward: bool) -> list[str]:
 
 
 def verify_structure(n: int) -> list[ClaimResult]:
-    """Check the structural claims about the families at size n.
+    """The structural claims of `CLAIMS` whose sizes reach n, run at n.
 
     The closure claims test every cover of every member at once with
     `_contains_rows`; the members are the rows of the cached family
     lattices' word arrays.  The swap claims test their few words one at a
     time with `contains_pattern`.
     """
-    claims: list[ClaimResult] = []
-    avoids_b = lambda p: not contains_pattern(p, Permutation((3, 2, 1)))
-    fam_a = build_family("A", n)
-    family_a = fam_a.elements[1:]
+    return [claim.run(n) for claim in _STRUCTURE if n in claim.sizes(n)]
 
-    # upward closure: an order filter is exactly a set closed under upper covers
-    bad = _closure_failures(fam_a.words, AVOIDED_PATTERNS["A"], upward=True)
-    claims.append(_claim("avoiders-upward-closed", "A", n, bad))
 
-    bad = _closure_failures(build_family("B", n).words, AVOIDED_PATTERNS["B"], upward=False)
-    claims.append(_claim("avoiders-downward-closed", "B", n, bad))
+def _closed(family: str, n: int, seed: int) -> list[str]:
+    """A is closed under upper covers and B under lower ones: an order filter and an ideal."""
+    fam = build_family(family, n)
+    return _closure_failures(fam.words, AVOIDED_PATTERNS[family], upward=family == "A")
 
-    bad = [
+
+def _head_structure(n: int, seed: int) -> list[str]:
+    return [
         f"{p} starts with neither {n} nor {n-1},{n}"
-        for p in family_a
-        if n >= 2 and p.word[0] != n and p.word[:2] != (n - 1, n)
+        for p in build_family("A", n).elements[1:]
+        if p.word[0] != n and p.word[:2] != (n - 1, n)
     ]
-    claims.append(_claim("avoider-head-structure", "A", n, bad))
-
-    if n >= 3:
-        two = {Permutation((n - 1, n) + w.word) for w in build_family("A", n - 2).elements[1:]}
-        one = {Permutation((n,) + w.word) for w in build_family("A", n - 1).elements[1:]}
-        bad = []
-        if two & one:
-            bad.append(f"overlap: {next(iter(two & one))}")
-        if two | one != set(family_a):
-            bad.append("prefix images do not cover the family")
-        claims.append(_claim("avoider-prefix-recurrence", "A", n, bad))
-
-    claims.append(
-        _claim("chained-inversion-characterization", "B", n, _chained_inversion_disagreement(n))
-    )
-
-    if n >= 3:
-        fam_b = build_family("B", n)
-        bad = []
-        for i in range(1, n - 1):
-            s, t = adjacent_transposition(n, i), adjacent_transposition(n, i + 1)
-            joined = weak_join(s, t)
-            if avoids_b(joined):
-                bad.append(f"join of swaps {i}, {i+1} stays in the family: {joined}")
-            table = _join_of_atoms(fam_b.lattice, (str(s), str(t)))
-            if table != fam_b.lattice.top:
-                bad.append(f"table join of swaps {i}, {i+1} is not the top")
-        claims.append(_claim("adjacent-swap-joins-escape", "B", n, bad))
-
-    if n >= 2:
-        fam_b = build_family("B", n)
-        bad = []
-        # a nonempty S in [n-1] with gaps of at least 2 is {1} | (S + 2), a
-        # sparse set of [n+1], less its head: S + 2 starts at 3 or later, so
-        # it never touches the 1, and the shared head keeps the order
-        spread = (tuple(v - 2 for v in x[1:]) for x in sparse_sets(n + 1) if len(x) > 1)
-        for subset in spread:
-            swaps = [adjacent_transposition(n, i) for i in subset]
-            joined = swaps[0]
-            for swap in swaps[1:]:
-                joined = weak_join(joined, swap)
-            word = list(range(1, n + 1))
-            for i in subset:
-                word[i - 1], word[i] = word[i], word[i - 1]
-            product = Permutation(tuple(word))
-            if joined != product or not avoids_b(product):
-                bad.append(f"join over positions {subset} is not the disjoint product")
-                break
-            table = _join_of_atoms(fam_b.lattice, map(str, swaps))
-            if fam_b.lattice.labels[table] != str(product):
-                bad.append(f"table join over positions {subset} disagrees")
-                break
-        claims.append(_claim("spread-swap-joins-product", "B", n, bad))
-
-    if n >= 2:
-        dual_c = build_family("C", n).nbb_lattice
-        bad = []
-        for r in range(1, n):
-            for subset in itertools.combinations(range(1, n), r):
-                coatoms = (word_label(theta(n, i)) for i in subset)
-                table = dual_c.labels[_join_of_atoms(dual_c, coatoms)]
-                spread = all(b - a >= 2 for a, b in zip(subset, subset[1:]))
-                expect = theta_meet(n, subset) if spread else BOTTOM_LABEL
-                if table != expect:
-                    bad.append(f"coatom meet over {subset}: table {table}, formula {expect}")
-        claims.append(_claim("coatom-meet-formula", "C", n, bad))
-
-    return claims
 
 
-def _join_of_atoms(lattice: BoundedLattice, labels) -> int:
-    """Join of the labelled atoms, folded through the atom join columns."""
-    cols = lattice.atom_join_columns()
-    row = {atom: r for r, atom in enumerate(lattice.atoms())}
-    acc = lattice.bottom
-    for label in labels:
-        acc = int(cols[row[lattice.poset.index(label)], acc])
-    return acc
+def _prefix_recurrence(n: int, seed: int) -> list[str]:
+    two = {Permutation((n - 1, n) + w.word) for w in build_family("A", n - 2).elements[1:]}
+    one = {Permutation((n,) + w.word) for w in build_family("A", n - 1).elements[1:]}
+    bad = [f"overlap: {next(iter(two & one))}"] if two & one else []
+    if two | one != set(build_family("A", n).elements[1:]):
+        bad.append("prefix images do not cover the family")
+    return bad
+
+
+def _swap_joins_escape(n: int, seed: int) -> list[str]:
+    fam, bad = build_family("B", n), []
+    for i in range(1, n - 1):
+        joined = weak_join(adjacent_transposition(n, i), adjacent_transposition(n, i + 1))
+        if not contains_pattern(joined, AVOIDED_PATTERNS["B"][0]):
+            bad.append(f"join of swaps {i}, {i+1} stays in the family: {joined}")
+        if fam._canonical_join((i, i + 1)) != fam.lattice.top:
+            bad.append(f"table join of swaps {i}, {i+1} is not the top")
+    return bad
+
+
+def _spread_swap_joins(n: int, seed: int) -> list[str]:
+    fam = build_family("B", n)
+    # a nonempty S in [n-1] with gaps of at least 2 is {1} | (S + 2), a
+    # sparse set of [n+1], less its head: S + 2 starts at 3 or later, so
+    # it never touches the 1, and the shared head keeps the order
+    for subset in (tuple(v - 2 for v in x[1:]) for x in sparse_sets(n + 1) if len(x) > 1):
+        joined = reduce(weak_join, (adjacent_transposition(n, i) for i in subset))
+        word = list(range(1, n + 1))
+        for i in subset:
+            word[i - 1], word[i] = word[i], word[i - 1]
+        product = Permutation(tuple(word))
+        if joined != product or contains_pattern(product, AVOIDED_PATTERNS["B"][0]):
+            return [f"join over positions {subset} is not the disjoint product"]
+        if fam.lattice.labels[fam._canonical_join(subset)] != str(product):
+            return [f"table join over positions {subset} disagrees"]
+    return []
+
+
+def _coatom_meets(n: int, seed: int) -> list[str]:
+    fam, bad = build_family("C", n), []
+    for r in range(1, n):
+        for subset in itertools.combinations(range(1, n), r):
+            table = fam.nbb_lattice.labels[fam._canonical_join(subset)]
+            spread = all(b - a >= 2 for a, b in zip(subset, subset[1:]))
+            expect = theta_meet(n, subset) if spread else BOTTOM_LABEL
+            if table != expect:
+                bad.append(f"coatom meet over {subset}: table {table}, formula {expect}")
+    return bad
 
 
 def _chained_inversion_disagreement(n: int) -> list[str]:
@@ -705,7 +716,7 @@ def _has_chained_inversions(words: np.ndarray) -> np.ndarray:
     return chained
 
 
-def isomorphism_claim(n: int) -> ClaimResult:
+def _isomorphism(n: int, seed: int) -> list[str]:
     """Word-to-avoider relabeling is an order isomorphism, both ways."""
     fam_c = build_family("C", n)
     fam_a = build_family("A", n)
@@ -738,10 +749,10 @@ def isomorphism_claim(n: int) -> ClaimResult:
                     break
     except (KeyError, NotAnAvoider, NotACompositionWord) as exc:
         failures.append(f"map left the family: {exc}")
-    return _claim("word-avoider-isomorphism", "A", n, failures)
+    return failures
 
 
-def nbb_prediction_claim(family: str, n: int) -> ClaimResult:
+def _nbb_prediction(family: str, n: int, seed: int) -> list[str]:
     """Enumerated NBB bases of the adjoined bound match the predictions."""
     fam = build_family(family, n)
     bases = nbb_bases_of(fam.canonical_order, fam.nbb_target)
@@ -757,7 +768,7 @@ def nbb_prediction_claim(family: str, n: int) -> ClaimResult:
             failures.append(f"missing base {sorted(next(iter(missing)))}")
     if len(bases) != len(sparse_sets(n - 2)):
         failures.append(f"{len(bases)} bases but {len(sparse_sets(n - 2))} sparse sets")
-    return _claim("nbb-bases-predicted", family, n, failures)
+    return failures
 
 
 def mobius_summary(n: int, families=("A", "B", "C")) -> dict:
@@ -790,7 +801,7 @@ def mobius_summary(n: int, families=("A", "B", "C")) -> dict:
     }
 
 
-def _mobius_identity_claim(n: int) -> ClaimResult:
+def _mobius_identity(n: int, seed: int) -> list[str]:
     """Every route and closed form of `mobius_summary` agrees, and so does B's dense recurrence.
 
     The dense lattice stays the oracle for B's table-free routes at the
@@ -798,12 +809,12 @@ def _mobius_identity_claim(n: int) -> ClaimResult:
     """
     summary = mobius_summary(n)
     dense = build_family("B", n).lattice.mobius_number()
-    agree = summary["agree"] and dense == summary["oracle"]["B"]
-    witness = None if agree else f"{summary}; dense recurrence for B: {dense}"
-    return ClaimResult("mobius-identity", "-", n, agree, witness)
+    if summary["agree"] and dense == summary["oracle"]["B"]:
+        return []
+    return [f"{summary}; dense recurrence for B: {dense}"]
 
 
-def random_order_claim(family: str, n: int, seed: int, trials: int = 20) -> ClaimResult:
+def _order_independence(family: str, n: int, seed: int) -> list[str]:
     """NBB counts are order-independent, element by element.
 
     Under the canonical order and each shuffled one, the signed NBB count
@@ -817,49 +828,53 @@ def random_order_claim(family: str, n: int, seed: int, trials: int = 20) -> Clai
     oracle = lattice.poset._mobius_from(lattice.bottom)
     rng = random.Random(f"{seed}:{family}:{n}")
     shuffles = []
-    for _ in range(trials):
+    for _ in range(20):
         seq = lattice.atoms()
         rng.shuffle(seq)
         shuffles.append(seq)
     view = _Search(lattice, [fam.canonical_order.sequence, *shuffles])
-    wrong = (_mobius_column(view).reshape(trials + 1, lattice.size) != oracle).any(axis=1)
+    wrong = (_mobius_column(view).reshape(len(shuffles) + 1, lattice.size) != oracle).any(axis=1)
     failures = []
     if wrong[0]:
         failures.append("canonical order disagrees with the recurrence")
     bad = np.flatnonzero(wrong[1:])
     if len(bad):
         failures.append(f"shuffle {bad[0]} of {shuffles[bad[0]]} disagrees")
-    return _claim("nbb-order-independence", family, n, failures)
+    return failures
+
+
+def _generating_function(n: int, seed: int) -> list[str]:
+    """The sparse-set generating polynomial h_k is F_k for every k up to n."""
+    return [f"size {k}" for k in range(1, n + 1) if fib_poly(k) != h_poly(k)]
+
+
+def _base_case(n: int, seed: int) -> list[str]:
+    base = sparse_sets(n)
+    return [] if base == [(1,), (1, 3), (1, 4)] else [f"got {base}"]
+
+
+_STRUCTURE = (
+    Claim("avoiders-upward-closed", "A", partial(_closed, "A")),
+    Claim("avoiders-downward-closed", "B", partial(_closed, "B")),
+    Claim("avoider-head-structure", "A", _head_structure),
+    Claim("avoider-prefix-recurrence", "A", _prefix_recurrence, _upto(3)),
+    Claim("chained-inversion-characterization", "B", lambda n, seed: _chained_inversion_disagreement(n)),
+    Claim("adjacent-swap-joins-escape", "B", _swap_joins_escape, _upto(3)),
+    Claim("spread-swap-joins-product", "B", _spread_swap_joins, _upto(2)),
+    Claim("coatom-meet-formula", "C", _coatom_meets, _upto(2)),
+)
+CLAIMS = _STRUCTURE + (
+    Claim("word-avoider-isomorphism", "A", _isomorphism, _upto(1, 10)),
+    Claim("mobius-identity", "-", _mobius_identity, _upto(3, 9)),
+    *(Claim("nbb-bases-predicted", f, partial(_nbb_prediction, f), _upto(3, 8)) for f in "ABC"),
+    *(Claim("nbb-order-independence", f, partial(_order_independence, f)) for f in "ABC"),
+    Claim("sparse-generating-function", "-", _generating_function, lambda max_n: (20,)),
+    Claim("sparse-sets-base-case", "-", _base_case, lambda max_n: (4,)),
+)
 
 
 def verify_all(max_n: int, seed: int = 0) -> list[ClaimResult]:
-    """Every claim the CLI verify command reports, deterministically ordered."""
-    claims: list[ClaimResult] = []
-    ints = range(1, max_n + 1)
-    for n in ints:
-        claims.extend(verify_structure(n))
-    for n in ints:
-        if n <= 10:
-            claims.append(isomorphism_claim(n))
-    for n in ints:
-        if 3 <= n <= 9:
-            claims.append(_mobius_identity_claim(n))
-    for family in ("A", "B", "C"):
-        for n in ints:
-            if 3 <= n <= 8:
-                claims.append(nbb_prediction_claim(family, n))
-    for family in ("A", "B", "C"):
-        for n in ints:
-            claims.append(random_order_claim(family, n, seed))
-    failures = [f"size {n}" for n in range(1, 21) if fib_poly(n) != h_poly(n)]
-    claims.append(_claim("sparse-generating-function", "-", 20, failures))
-    base = sparse_sets(4)
-    claims.append(
-        _claim(
-            "sparse-sets-base-case",
-            "-",
-            4,
-            [] if base == [(1,), (1, 3), (1, 4)] else [f"got {base}"],
-        )
-    )
-    return claims
+    """Every claim of `CLAIMS` at its sizes up to max_n, in the order of the module docstring."""
+    return [result for n in range(1, max_n + 1) for result in verify_structure(n)] + [
+        claim.run(n, seed) for claim in CLAIMS[len(_STRUCTURE) :] for n in claim.sizes(max_n)
+    ]

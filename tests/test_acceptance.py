@@ -2,22 +2,16 @@
 
 Each test prints `criterion K PASS/FAIL: ...` through the record_criterion
 fixture and the same lines are echoed in the terminal summary.  All
-comparisons are exact integer or exact set equality.
+comparisons are exact integer or exact set equality.  Criteria 1 and 3-6
+run claims of `CLAIMS`, picked by id, at the sizes each claim takes up to
+the criterion's largest size.
 """
 
 import itertools
 import time
 
-from mobiuslat.families import (
-    build_family,
-    isomorphism_claim,
-    nbb_prediction_claim,
-    random_order_claim,
-    sparse_signed_sum,
-    verify_structure,
-    AVOIDED_PATTERNS,
-)
-from mobiuslat.fibpoly import fib_poly, h_poly, sparse_sets
+from mobiuslat.families import AVOIDED_PATTERNS, CLAIMS, _STRUCTURE, build_family, sparse_signed_sum
+from mobiuslat.fibpoly import fib_poly
 from mobiuslat.permutation import (
     enumerate_avoiders,
     inversion_mask,
@@ -28,20 +22,25 @@ from mobiuslat.permutation import (
 SEED = 0
 
 
+def run_claims(ids, max_n):
+    """Run the claims with these ids at their sizes up to max_n: the count, and the first failure if any."""
+    results = [claim.run(n, SEED) for claim in CLAIMS if claim.id in ids for n in claim.sizes(max_n)]
+    failures = [f"{r.id} {r.family} n={r.n}: {r.witness}" for r in results if not r.passed]
+    return len(results), f"; first failure {failures[0]}" if failures else ""
+
+
 def test_criterion_1_nbb_matches_recurrence_all_orders(record_criterion):
     start = time.perf_counter()
-    claims = [random_order_claim(family, n, SEED) for family in ("A", "B", "C") for n in range(1, 10)]
-    failures = [f"{c.family} n={c.n}: {c.witness}" for c in claims if not c.passed]
-    orders_checked = 21 * len(claims)  # the canonical order and 20 shuffles per claim
+    count, failed = run_claims({"nbb-order-independence"}, 9)
     elapsed = time.perf_counter() - start
     in_time = elapsed < 60.0
-    passed = not failures and in_time
+    passed = not failed and in_time
     record_criterion(
         1,
         "NBB signed count equals recurrence for A,B,C at n=1..9, canonical + 20 random orders",
         passed,
-        f"{orders_checked} orders, {elapsed:.1f}s" + ("" if in_time else " OVER 60s")
-        + (f", first failure {failures[0]}" if failures else ""),
+        # the canonical order and 20 shuffles per claim
+        f"{21 * count} orders, {elapsed:.1f}s" + ("" if in_time else " OVER 60s") + failed,
     )
     assert passed
 
@@ -78,73 +77,31 @@ def test_criterion_2_main_identity(record_criterion):
 
 
 def test_criterion_3_nbb_bases_are_sparse_predictions(record_criterion):
-    failures = []
-    for family in ("C", "B"):  # coatom side of C, atom side of B
-        for n in range(3, 9):
-            claim = nbb_prediction_claim(family, n)
-            if not claim.passed:
-                failures.append(f"{family} n={n}: {claim.witness}")
-    passed = not failures
-    record_criterion(
-        3,
-        "enumerated NBB bases equal sparse-set predictions with matching counts, n=3..8",
-        passed,
-        "C coatom side and B atom side" + (f"; first failure {failures[0]}" if failures else ""),
-    )
-    assert passed
+    count, failed = run_claims({"nbb-bases-predicted"}, 8)
+    title = "enumerated NBB bases equal sparse-set predictions with matching counts, n=3..8"
+    record_criterion(3, title, not failed, f"{count} claims: coatom side of A and C, atom side of B" + failed)
+    assert not failed
 
 
 def test_criterion_4_word_avoider_isomorphism(record_criterion):
-    failures = []
-    for n in range(1, 11):
-        claim = isomorphism_claim(n)
-        if not claim.passed:
-            failures.append(f"n={n}: {claim.witness}")
-    passed = not failures
-    record_criterion(
-        4,
-        "composition-word map and its inverse are order isomorphisms, n=1..10",
-        passed,
-        "round trips and order agreement on all pairs, zero tolerance"
-        + (f"; first failure {failures[0]}" if failures else ""),
-    )
-    assert passed
+    _, failed = run_claims({"word-avoider-isomorphism"}, 10)
+    title = "composition-word map and its inverse are order isomorphisms, n=1..10"
+    record_criterion(4, title, not failed, "round trips and order agreement on all pairs, zero tolerance" + failed)
+    assert not failed
 
 
 def test_criterion_5_structure_suite(record_criterion):
-    failures = []
-    count = 0
-    for n in range(1, 9):
-        for claim in verify_structure(n):
-            count += 1
-            if not claim.passed:
-                failures.append(f"{claim.id} {claim.family} n={n}: {claim.witness}")
-    passed = not failures
-    record_criterion(
-        5,
-        "structure suite (closure, recurrence, joins, coatom meets) holds for n=1..8",
-        passed,
-        f"{count} claims" + (f"; first failure {failures[0]}" if failures else ""),
-    )
-    assert passed
+    count, failed = run_claims({claim.id for claim in _STRUCTURE}, 8)
+    title = "structure suite (closure, recurrence, joins, coatom meets) holds for n=1..8"
+    record_criterion(5, title, not failed, f"{count} claims" + failed)
+    assert not failed
 
 
 def test_criterion_6_generating_function(record_criterion):
-    failures = [
-        f"n={n}" for n in range(1, 21) if h_poly(n).coeffs != fib_poly(n).coeffs
-    ]
-    base = sparse_sets(4)
-    if base != [(1,), (1, 3), (1, 4)]:
-        failures.append(f"sparse sets of [4] = {base}")
-    passed = not failures
-    record_criterion(
-        6,
-        "sparse-set generating polynomial equals the recurrence polynomial, n=1..20",
-        passed,
-        "3 sparse sets of [4]: {1},{1,3},{1,4}"
-        + (f"; first failure {failures[0]}" if failures else ""),
-    )
-    assert passed
+    _, failed = run_claims({"sparse-generating-function", "sparse-sets-base-case"}, 20)
+    title = "sparse-set generating polynomial equals the recurrence polynomial, n=1..20"
+    record_criterion(6, title, not failed, "3 sparse sets of [4]: {1},{1,3},{1,4}" + failed)
+    assert not failed
 
 
 def test_criterion_7_cardinalities(record_criterion):

@@ -13,7 +13,7 @@ import pytest
 import mobiuslat.cli as cli
 import mobiuslat.families as families
 import mobiuslat.poset as poset_module
-from mobiuslat.families import ClaimResult, build_family
+from mobiuslat.families import CLAIMS, ClaimResult, build_family, mobius_summary
 from mobiuslat.permutation import pair_index
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -302,13 +302,37 @@ def test_verify_catches_a_wrong_atom_join(capsys, monkeypatch):
         return columns
 
     monkeypatch.setattr(poset_module.BoundedLattice, "atom_join_columns", perturbed)
-    claim = families.random_order_claim("B", 4, seed=0)
-    assert not claim.passed
-    assert claim.witness == "canonical order disagrees with the recurrence"
+    claim = next(c for c in CLAIMS if (c.id, c.family) == ("nbb-order-independence", "B"))
+    result = claim.run(4, seed=0)
+    assert not result.passed
+    assert result.witness == "canonical order disagrees with the recurrence"
     assert families.mobius_via_nbb(build_family("B", 4).canonical_order) == lattice.mobius_number()
     code, out, _ = run_capture(capsys, ["verify", "--max-n", "4"])
     assert code == 1
     assert "FAIL nbb-order-independence family=B n=4" in out
+
+
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: f"{c.id}:{c.family}")
+def test_a_failing_claim_fails_verify_at_exactly_its_sizes(capsys, monkeypatch, claim):
+    monkeypatch.setattr(claim, "check", lambda n, seed: ["x"])
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "9"])
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL {claim.id} family={claim.family} n={n}  [x]" for n in claim.sizes(9)]
+
+
+def test_verify_catches_a_flipped_sign_convention(capsys, monkeypatch):
+    # the sparse sum negated: mobius-identity fails, with the summary as its
+    # witness, at every size but n = 5 and 8, where mu = 0, and nothing else fails
+    true_sum = families.sparse_signed_sum
+    monkeypatch.setattr(families, "sparse_signed_sum", lambda n: -true_sum(n))
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "9"])
+    assert code == 1 and out.count("FAIL") == 5
+    assert [line for line in out.splitlines() if "mobius-identity" in line] == [
+        f"PASS mobius-identity family=- n={n}" if mu == 0
+        else f"FAIL mobius-identity family=- n={n}  [{mobius_summary(n)}; dense recurrence for B: {mu}]"
+        for n, mu in zip(range(3, 10), (1, 1, 0, -1, -1, 0, 1))
+    ]
 
 
 # -- hasse -------------------------------------------------------------------

@@ -14,6 +14,7 @@ import mobiuslat.families as families
 from mobiuslat.families import (
     AVOIDED_PATTERNS,
     BOTTOM_LABEL,
+    CLAIMS,
     TOP_LABEL,
     ClaimResult,
     FamilyLattice,
@@ -21,13 +22,10 @@ from mobiuslat.families import (
     NotAnAvoider,
     build_family,
     composition_words,
-    isomorphism_claim,
     mobius_summary,
-    nbb_prediction_claim,
     phi,
     predicted_nbb_bases,
     psi,
-    random_order_claim,
     sparse_signed_sum,
     theta,
     theta_meet,
@@ -44,7 +42,6 @@ from mobiuslat.families import (
     _has_chained_inversions,
     _join_swap,
     _mobius_by_rank,
-    _mobius_identity_claim,
     _pack,
     _word_labels,
 )
@@ -397,10 +394,25 @@ def test_nbb_targets():
         assert fam.nbb_lattice.labels[fam.nbb_target] == fam.adjoined
 
 
-def test_verify_structure_passes():
-    for n in range(1, 7):
-        for claim in verify_structure(n):
-            assert claim.passed, (n, claim)
+def registered(id, family):
+    return next(c for c in CLAIMS if (c.id, c.family) == (id, family))
+
+
+@pytest.mark.parametrize("entry", CLAIMS, ids=lambda c: f"{c.id}:{c.family}")
+def test_claim_holds(entry):
+    for n in entry.sizes(7):
+        result = entry.run(n)
+        assert result.passed, result
+
+
+def test_registry_names_each_claim_once():
+    keys = [(c.id, c.family) for c in CLAIMS]
+    assert len(set(keys)) == len(keys)
+    assert {c.family for c in CLAIMS} <= {"A", "B", "C", "-"}
+
+
+def test_verify_counts_follow_the_registry():
+    assert [len(verify_all(m)) for m in range(1, 10)] == [10, 20, 36, 52, 68, 84, 100, 116, 129]
 
 
 def test_verify_structure_claim_ids():
@@ -435,19 +447,6 @@ def test_prefix_recurrence_at_n3():
     assert got == {(2, 3, 1), (3, 1, 2), (3, 2, 1)}
 
 
-def test_isomorphism_claim_passes():
-    for n in range(1, 8):
-        claim = isomorphism_claim(n)
-        assert claim.passed, claim
-
-
-def test_nbb_prediction_claims_pass():
-    for family in "ABC":
-        for n in range(3, 7):
-            claim = nbb_prediction_claim(family, n)
-            assert claim.passed, claim
-
-
 def test_mobius_summary_values():
     want = {3: 1, 4: 1, 5: 0, 6: -1, 7: -1}
     for n, value in want.items():
@@ -480,15 +479,9 @@ def test_mobius_identity_compares_b_with_the_dense_recurrence(monkeypatch):
     dense_b = SimpleNamespace(lattice=SimpleNamespace(mobius_number=lambda: 7))
     monkeypatch.setattr(families, "mobius_summary", lambda n: summary)
     monkeypatch.setattr(families, "build_family", lambda family, n: dense_b)
-    claim = _mobius_identity_claim(5)
-    assert summary["agree"] and not claim.passed
-    assert claim.witness == f"{summary}; dense recurrence for B: 7"
-
-
-def test_random_order_claims_pass():
-    for family in "ABC":
-        for n in range(1, 6):
-            assert random_order_claim(family, n, seed=0, trials=5).passed
+    result = registered("mobius-identity", "-").run(5)
+    assert summary["agree"] and not result.passed
+    assert result.witness == f"{summary}; dense recurrence for B: 7"
 
 
 def test_random_order_claim_names_the_first_disagreeing_shuffle(monkeypatch):
@@ -505,9 +498,9 @@ def test_random_order_claim_names_the_first_disagreeing_shuffle(monkeypatch):
     lattice = build_family("C", 6).nbb_lattice
     rng = random.Random("0:C:6")
     sequences = [shuffled_order(lattice, rng).sequence for _ in range(3)]
-    claim = random_order_claim("C", 6, seed=0)
-    assert not claim.passed
-    assert claim.witness == f"shuffle 2 of {list(sequences[2])} disagrees"
+    result = registered("nbb-order-independence", "C").run(6, seed=0)
+    assert not result.passed
+    assert result.witness == f"shuffle 2 of {list(sequences[2])} disagrees"
 
 
 def test_verify_all_small():
