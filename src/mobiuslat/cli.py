@@ -10,12 +10,13 @@ claim or identity failed, 2 means the request itself was invalid or its
 size was refused, and 3 means the program itself failed: any unexpected
 exception is reported as one line on stderr instead of a traceback.
 
-Sizes past DEFAULT_MAX_N need --force; then a memory estimate, which
---force does not lift, refuses with exit 2 what cannot fit in physical
-memory before anything is enumerated.  mobius for family B builds no
-lattice, so it has a bound of its own, TABLE_FREE_MAX_N, and its estimate
-is about a hundred bytes per element; every other lattice command is
-estimated by its N x N order matrix and the peak of what its build adds.
+Every lattice command first estimates the peak bytes it will hold, from
+the element counts alone: Catalan for B, Fibonacci for A and C.  Without
+--force the estimate must fit BUDGET_BYTES; with it, physical memory.  A
+request past its limit exits 2 with one line on stderr before anything is
+enumerated.  The dense estimate (nbb-bases, hasse, mobius for A and C,
+verify) counts each order matrix and what its build adds; mobius for B
+builds no lattice, and its estimate is about a hundred bytes per element.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .families import (
 from .fibpoly import fib_poly, h_poly
 from .nbb import nbb_bases_of
 
-DEFAULT_MAX_N = {"A": 10, "B": 9, "C": 10}
-# mobius for B, which holds no N x N array: n=13 takes a few seconds
-TABLE_FREE_MAX_N = 13
+# Peak bytes a command may hold without --force: admits dense B up to n=9,
+# A and C up to n=19, verify --max-n 9 and B's table-free mobius up to n=13,
+# each in under about 3 s
+BUDGET_BYTES = 128 * 2**20
 # H_n lists all F_n sparse sets, about 1.6 times more per step: 75025 at n=25
 FIB_MAX_N = 25
 EXIT_INTERNAL_ERROR = 3
@@ -57,104 +59,95 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _element_count(family: str, n: int) -> int:
+def _element_count(family: str, n: int, cap: float = math.inf) -> int | None:
     """Elements of a family lattice, adjoined bound included, without building it.
 
     B lists the Catalan-many 321-avoiders; A and C have F_(n+1) members
-    (F_1 = F_2 = 1), the compositions of n into parts 1 and 2.
+    (F_1 = F_2 = 1), the compositions of n into parts 1 and 2.  Counting
+    stops at the first count past cap, and then returns None.
     """
-    if family == "B":
-        return math.comb(2 * n, n) // (n + 1) + 1
-    a, b = 1, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a + 1
+    count, step = 1, 1
+    for k in range(n):
+        if family == "B":
+            count = count * (4 * k + 2) // (k + 2)
+        else:
+            count, step = step, count + step
+        if count > cap:
+            return None
+    return count + 1
 
 
-def _dense_bytes(family: str, n: int) -> int:
-    """Peak bytes of one dense family lattice while it is built and checked.
+def _dense_estimate(families: str, n_lo: int, n_hi: int, cap: float = math.inf) -> int | None:
+    """Peak bytes of building the dense lattices of families at sizes n_lo..n_hi.
 
-    The order matrix, one byte per entry, is held throughout.  Validation
-    adds its packed rows: three arrays of an eighth of a byte per entry.
-    The lattice check comes after and adds the meet kernel's N x k arrays
-    for its k irreducible targets, a boolean slice of the order and an
-    index array of 2 bytes per entry (4 from 2^15 elements); the estimate
-    allows three index arrays, room for the kernel's bounded temporaries
-    (its traced peak at B9 is under half this term).  B is checked on its
-    avoiders with one descent, fewer than 2^n, and A and C on fewer than
-    n coatoms.  The elements, their labels and masks and the
-    allocator's slack take under 2 KiB each: peak RSS above the
-    interpreter's was 1.5 and 1.2 KiB per element past these arrays for
-    B at n = 9 and 10.  No command builds a meet or join table.
+    build_family caches what it builds, so the order matrices of the
+    smaller sizes, one byte per entry, stay held while the largest are
+    built.  Building one holds its order matrix and validation's three
+    bit-packed copies of it, 3/8 byte per entry, which outweigh the lattice
+    check's N x k arrays from B9 on; and 2.5 KiB per element, for the
+    labels, the words and, below B9, the check.  verify's chained-inversion
+    claim comes after the builds and holds the max_n! words of [max_n],
+    about 2 max_n + 8 bytes a word: less than a build adds, 1.1 against
+    1.3 GiB at max_n = 11.  Traced peaks were 0.60 to 0.91 of this for
+    nbb-bases at B8..B10 and A16..A20, 0.6 to 0.8 for verify --max-n 7..9
+    and 0.91 for mobius --family A --n 1..19.  hasse's JSON text, made
+    after the poset, took A16's peak 4% past it, and stays under it from
+    A18 on; below about 1 MiB a fixed few hundred KiB that it leaves out
+    can outweigh it.  None once a count passes cap, which the estimate then
+    passes too.
     """
-    count = _element_count(family, n)
-    targets = 2**n if family == "B" else n
-    width = 2 if count < 1 << 15 else 4
-    packed_rows = 3 * count * count // 8
-    kernel = count * targets * (1 + 3 * width)
-    return count * count + max(packed_rows, kernel) + count * 2048
+    need = 0
+    for n in range(n_lo, n_hi + 1):
+        for family in families:
+            count = _element_count(family, n, cap)
+            if count is None:
+                return None
+            need += count * count if n < n_hi else count * (count * 11 // 8 + 2560)
+    return need
 
 
-def _verify_bytes(max_n: int) -> int:
-    """Peak bytes of verify --max-n, which caches every lattice it builds.
+def _table_free_estimate(n: int, cap: float = math.inf) -> int | None:
+    """Peak bytes of B's table-free mobius at n, which holds no N x N array.
 
-    The order matrices of all smaller sizes are held while the largest
-    are built.  The chained-inversion claim then holds the max_n! words of
-    [max_n] beside those, about 2 max_n + 8 bytes a word, which stays under
-    what the build adds to the order matrices: 1.1 GiB against 1.6 GiB at
-    max_n = 11.
+    96 bytes per element, for the walk's word columns and index arrays,
+    then the packed limbs and the recurrence's sort, and 1 MiB for what
+    every size holds: traced peaks were 0.5 to 0.8 of this at n = 9..13,
+    and 70, 60 and 61 bytes per element at n = 11, 12 and 13.  Each size of
+    a range is freed before the next.  None once the count passes cap.
     """
-    held = sum(_element_count(f, n) ** 2 for f in "ABC" for n in range(1, max_n))
-    return held + sum(_dense_bytes(f, max_n) for f in "ABC")
+    count = _element_count("B", n, cap)
+    return None if count is None else count * 96 + 2**20
 
 
-# Peak bytes per element of B's table-free mobius: the walk's word columns
-# and index arrays, then the packed limbs and the recurrence's sort; peak RSS
-# above the interpreter's measured 59, 61 and 64 B at n = 13, 14 and 15.
-TABLE_FREE_BYTES = 120
+def _size(nbytes: int) -> str:
+    """nbytes in GiB to one decimal, or below 1 GiB in whole MiB."""
+    if nbytes < 2**30:
+        return f"{nbytes >> 20} MiB"
+    return f"{nbytes / 2**30:.1f} GiB"
 
 
-def _check_memory(parser, need: int, what: str, store: str = "dense tables"):
-    """Refuse, before anything is enumerated, a request larger than physical memory."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError):  # no sysconf on this platform: nothing to compare
-        return
-    if need > memory:
-        parser.exit(
-            2,
-            f"mobiuslat: {what} needs about {_gib(need)} GiB of {store}, "
-            f"more than the {_gib(memory)} GiB of physical memory; refused\n",
-        )
+def _admit(parser, force: bool, what: str, estimate, *size) -> None:
+    """Refuse with exit 2, before anything is enumerated, a request past its limit.
 
-
-def _gib(nbytes: int) -> str:
-    """nbytes in GiB, to one decimal, or in scientific notation from a million GiB."""
-    if nbytes < 10**6 * 2**30:
-        return f"{nbytes / 2**30:.1f}"
-    import decimal  # here, not at the top: its import costs every command ~0.3 MB
-
-    return f"{decimal.Context(Emax=decimal.MAX_EMAX).divide(nbytes, 2**30):.1e}"
-
-
-def _check_bounds(parser, family: str, n_hi: int, force: bool, table_free: bool = False):
-    """The n gate, which --force lifts, then the memory check, which it does not.
-
-    A table-free request holds about a hundred bytes per element, where a
-    dense one holds its N x N arrays.
+    The limit is BUDGET_BYTES, or with --force physical memory.
+    estimate(*size, cap) returns the request's peak bytes, or None once a
+    count passes cap, which is then refused without an exact figure.
     """
-    bound = TABLE_FREE_MAX_N if table_free else DEFAULT_MAX_N[family]
-    if n_hi > bound and not force:
-        parser.error(
-            f"n={n_hi} exceeds the default bound {bound} for family {family}; "
-            "pass --force to spend the time and memory anyway"
-        )
-    what = f"family {family} at n={n_hi}"
-    if table_free:
-        need = _element_count(family, n_hi) * TABLE_FREE_BYTES
-        _check_memory(parser, need, what, "inversion masks")
+    if force:
+        try:
+            limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError):  # no sysconf on this platform: nothing to compare
+            return
+        over, then = f"the {_size(limit)} of physical memory", "refused"
     else:
-        _check_memory(parser, _dense_bytes(family, n_hi), what)
+        limit = BUDGET_BYTES
+        over = f"the default budget of {_size(limit)}"
+        then = "pass --force to allow up to physical memory"
+    need = estimate(*size, cap=limit)
+    if need is None:
+        parser.exit(2, f"mobiuslat: {what} needs more than {over}; {then}\n")
+    if need > limit:
+        parser.exit(2, f"mobiuslat: {what} needs about {_size(need)}, more than {over}; {then}\n")
 
 
 def cmd_mobius(parser, args) -> int:
@@ -164,8 +157,11 @@ def cmd_mobius(parser, args) -> int:
         parser.error(f"cannot parse --n {args.n!r}")
     if n_lo < 1 or n_hi < n_lo:
         parser.error("n range must be positive and increasing")
-    # B's two routes run table-free (see mobius_summary)
-    _check_bounds(parser, args.family, n_hi, args.force, table_free=args.family == "B")
+    what = f"family {args.family} at n={n_hi}"
+    if args.family == "B":  # both of B's routes run table-free (see mobius_summary)
+        _admit(parser, args.force, what, _table_free_estimate, n_hi)
+    else:
+        _admit(parser, args.force, what, _dense_estimate, args.family, n_lo, n_hi)
     rows = []
     all_agree = True
     for n in range(n_lo, n_hi + 1):
@@ -192,7 +188,8 @@ def cmd_nbb_bases(parser, args) -> int:
     n = args.n
     if n < 1:
         parser.error("n must be positive")
-    _check_bounds(parser, args.family, n, args.force)
+    what = f"family {args.family} at n={n}"
+    _admit(parser, args.force, what, _dense_estimate, args.family, n, n)
     fam = build_family(args.family, n)
     bases = nbb_bases_of(fam.canonical_order, fam.nbb_target)
     listed = [fam.canonical_order.labels(b.atoms) for b in bases]
@@ -237,13 +234,7 @@ def cmd_nbb_bases(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be positive")
-    # family B grows fastest, so its bound is the binding one
-    if args.max_n > DEFAULT_MAX_N["B"] and not args.force:
-        parser.error(
-            f"--max-n {args.max_n} exceeds the default bound {DEFAULT_MAX_N['B']}; "
-            "pass --force to run anyway"
-        )
-    _check_memory(parser, _verify_bytes(args.max_n), f"--max-n {args.max_n}")
+    _admit(parser, args.force, f"--max-n {args.max_n}", _dense_estimate, "ABC", 1, args.max_n)
     claims = verify_all(args.max_n, args.seed)
     ok = all(c.passed for c in claims)
     if args.format == "json":
@@ -260,7 +251,8 @@ def cmd_verify(parser, args) -> int:
 def cmd_hasse(parser, args) -> int:
     if args.n < 1:
         parser.error("n must be positive")
-    _check_bounds(parser, args.family, args.n, args.force)
+    what = f"family {args.family} at n={args.n}"
+    _admit(parser, args.force, what, _dense_estimate, args.family, args.n, args.n)
     # the diagram needs only labels and covers: no lattice tables
     poset, _, _ = _family_poset(args.family, args.n)
     if args.format == "json":
@@ -322,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--force",
             action="store_true",
-            help="allow n beyond the default safety bound (slow, memory-hungry)",
+            help="allow sizes past the default memory budget, up to physical memory",
         )
 
     p = sub.add_parser("mobius", help="compare every computation of the Mobius number")

@@ -6,12 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import mobiuslat.cli as cli
 import mobiuslat.families as families
+import mobiuslat.fibpoly as fibpoly
 import mobiuslat.poset as poset_module
 from mobiuslat.families import CLAIMS, ClaimResult, build_family, mobius_summary
 from mobiuslat.permutation import pair_index
@@ -72,16 +75,25 @@ def test_mobius_bad_range_exits_2(capsys):
 
 
 def test_mobius_bound_gate(capsys):
-    # B's table-free mobius has a bound of its own; dense B commands keep 9
+    # the default budget admits B's table-free mobius up to n=13, dense B up
+    # to n=9 and A and C up to n=19
     code, _, err = run_capture(capsys, ["mobius", "--family", "B", "--n", "14"])
     assert code == 2
-    assert "--force" in err and "default bound 13" in err
+    assert err == (
+        "mobiuslat: family B at n=14 needs about 245 MiB, more than the default "
+        "budget of 128 MiB; pass --force to allow up to physical memory\n"
+    )
     code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "10"])
     assert code == 0
     assert out.startswith("n=10: ") and out.endswith("-> agree\n")
     code, _, err = run_capture(capsys, ["nbb-bases", "--family", "B", "--n", "10"])
     assert code == 2
-    assert "--force" in err and "default bound 9" in err
+    assert "needs about 410 MiB" in err and "default budget of 128 MiB" in err and "--force" in err
+    code, out, _ = run_capture(capsys, ["mobius", "--family", "A", "--n", "16"])
+    assert (code, out) == (0, "n=16: recurrence 1, nbb 1, sparse sum 1, F_(n-2)(-1) 1 -> agree\n")
+    code, _, err = run_capture(capsys, ["mobius", "--family", "C", "--n", "20"])
+    assert code == 2
+    assert "family C at n=20 needs about 183 MiB" in err
 
 
 @pytest.mark.parametrize(
@@ -91,46 +103,68 @@ def test_mobius_bound_gate(capsys):
         ["verify", "--max-n", "12", "--force"],
         ["mobius", "--family", "B", "--n", "600", "--force"],
         ["nbb-bases", "--family", "B", "--n", "300", "--force"],
+        ["mobius", "--family", "A", "--n", "1000000", "--force"],
+        ["mobius", "--family", "B", "--n", "1000000", "--force"],
+        ["mobius", "--family", "A", "--n", "10000000", "--force"],
+        ["mobius", "--family", "B", "--n", "10000000", "--force"],
+        ["verify", "--max-n", "20000", "--force"],
+        ["hasse", "--family", "C", "--n", "10000000", "--force"],
     ],
 )
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     # B at n=12 has 208 013 elements, and its order matrix alone is ~40 GiB;
-    # B's table-free mobius at n=20 holds 6.6e9 elements at ~120 B each;
-    # at n=600 (masks) and n=300 (dense) no float holds the byte count
+    # B's table-free mobius at n=20 holds 6.6e9 elements at ~100 B each; past
+    # about n=21 for B and n=48 for A and C no count fits physical memory in
+    # bytes, so counting stops there and the refusal is immediate
     def unreachable(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(families, "build_family", unreachable)
+    for module in (families, cli):
+        monkeypatch.setattr(module, "build_family", unreachable)
+        monkeypatch.setattr(module, "_family_poset", unreachable)
     monkeypatch.setattr(families, "enumerate_avoiders", unreachable)
     monkeypatch.setattr(families, "avoiders_321", unreachable)
-    monkeypatch.setattr(cli, "build_family", unreachable)
+    monkeypatch.setattr(cli, "verify_all", unreachable)
+    start = time.perf_counter()
     code, out, err = run_capture(capsys, argv)
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "physical memory" in err
 
 
-def test_dense_estimate_counts_the_order_matrix_and_the_larger_temporaries():
-    # the order matrix over B's 16796 avoiders and the top, then the lattice
-    # check's arrays for fewer than 2^10 targets, which outweigh validation's
-    # packed rows, and 2 KiB per element; no command builds a meet table
-    assert cli._dense_bytes("B", 10) == 16797**2 + 16797 * 2**10 * 7 + 16797 * 2048
-    # C at n=16 is checked on fewer than 16 coatoms: the packed rows weigh more
-    assert cli._dense_bytes("C", 16) == 1598**2 + 3 * 1598**2 // 8 + 1598 * 2048
-    # from 2^15 elements the kernel's index arrays take 4 bytes per entry
-    assert cli._dense_bytes("B", 11) == 58787**2 + 58787 * 2**11 * 13 + 58787 * 2048
+# The estimate may neither admit what cannot fit nor refuse far more than it
+# must: each path at two sizes, its estimate against the traced peak of the
+# command in a process whose lattice caches are empty, as a fresh one's are.
+CALIBRATION = {
+    "nbb-bases --family B --n 8": ("_dense_estimate", "B", 8, 8),
+    "nbb-bases --family A --n 16": ("_dense_estimate", "A", 16, 16),
+    "mobius --family B --n 11": ("_table_free_estimate", 11),
+    "mobius --family B --n 12": ("_table_free_estimate", 12),
+    "verify --max-n 7": ("_dense_estimate", "ABC", 1, 7),
+    "verify --max-n 8": ("_dense_estimate", "ABC", 1, 8),
+}
 
 
-def test_verify_estimate_holds_the_cached_sizes():
-    # every smaller lattice stays cached while the largest are built
-    smaller = sum(cli._element_count(f, n) ** 2 for f in "ABC" for n in range(1, 10))
-    assert cli._verify_bytes(10) == smaller + sum(cli._dense_bytes(f, 10) for f in "ABC")
+@pytest.mark.parametrize("command", list(CALIBRATION))
+def test_estimate_bounds_the_traced_peak_within_twice(capsys, command):
+    estimate, *size = CALIBRATION[command]
+    for cached in (families.build_family, families.weak_order_lattice, fibpoly.fib_poly):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        code = run_cli(command.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    need = getattr(cli, estimate)(*size)
+    assert peak <= need <= 2 * peak, (peak, need)
 
 
 def test_memory_figures():
-    assert cli._gib(282 * 2**30 + 2**29) == "282.5"
-    assert cli._gib(10**6 * 2**30) == "1.0e+6"
-    assert cli._gib(10**400) == "9.3e+390"
+    assert cli._size(282 * 2**30 + 2**29) == "282.5 GiB"
+    assert cli._size(244 * 2**20 + 2**19) == "244 MiB"
 
 
 def test_mobius_b_builds_no_lattice(capsys, monkeypatch):
@@ -240,6 +274,7 @@ def test_nbb_bases_mismatch_exits_1(capsys, monkeypatch):
 def test_nbb_bases_rejects_bad_n(capsys):
     assert run_capture(capsys, ["nbb-bases", "--family", "C", "--n", "0"])[0] == 2
     assert run_capture(capsys, ["nbb-bases", "--family", "B", "--n", "10"])[0] == 2
+    assert run_capture(capsys, ["nbb-bases", "--family", "A", "--n", "20"])[0] == 2
 
 
 # -- verify ------------------------------------------------------------------
@@ -271,9 +306,14 @@ def test_verify_json_schema_and_determinism(capsys):
         assert claim["pass"] is True
 
 
-def test_verify_bound_gate(capsys):
-    assert run_capture(capsys, ["verify", "--max-n", "10"])[0] == 2
+def test_verify_bound_gate(capsys, monkeypatch):
+    code, _, err = run_capture(capsys, ["verify", "--max-n", "10"])
+    assert code == 2
+    assert "--max-n 10 needs about 436 MiB" in err and "default budget of 128 MiB" in err
     assert run_capture(capsys, ["verify", "--max-n", "0"])[0] == 2
+    # the gate alone: --max-n 9 is admitted
+    monkeypatch.setattr(cli, "verify_all", lambda max_n, seed: [])
+    assert run_capture(capsys, ["verify", "--max-n", "9"]) == (0, "0/0 claims pass\n", "")
 
 
 def test_verify_exit_1_on_failure(capsys, monkeypatch):
@@ -397,7 +437,9 @@ def test_hasse_force_allows_large_c(capsys):
     code, out, _ = run_capture(capsys, ["hasse", "--family", "C", "--n", "11", "--force", "--format", "json"])
     assert code == 0
     assert len(json.loads(out)["elements"]) == 145
-    assert run_capture(capsys, ["hasse", "--family", "C", "--n", "11"])[0] == 2
+    # without --force A and C stop at n=19: both are refused from n=20
+    assert run_capture(capsys, ["hasse", "--family", "A", "--n", "20"])[0] == 2
+    assert run_capture(capsys, ["hasse", "--family", "C", "--n", "20"])[0] == 2
 
 
 # -- fib -----------------------------------------------------------------------
