@@ -7,6 +7,21 @@ polynomials whose values at -1 these numbers follow, and a verification
 suite exercising every structural claim at desk scale.
 """
 
+import os
+
+# No code here calls BLAS: every array is integer or boolean, and numpy
+# multiplies those without it.  OpenBLAS would still start one worker per
+# core when numpy loads, and each spins for CPU before it sleeps, so numpy
+# is loaded with one thread unless the caller chose a count.
+_caller_set = "OPENBLAS_NUM_THREADS" in os.environ
+try:
+    if not _caller_set:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # noqa: F401
+finally:
+    if not _caller_set:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .fibpoly import IntPolynomial, fib_poly, h_poly, sparse_sets
 from .families import (
     BOTTOM_LABEL,

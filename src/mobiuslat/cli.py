@@ -44,10 +44,11 @@ BUDGET_BYTES = 128 * 2**20
 # H_n lists all F_n sparse sets, about 1.6 times more per step: 75025 at n=25
 FIB_MAX_N = 25
 EXIT_INTERNAL_ERROR = 3
+_JSON_STYLE = {"ensure_ascii": False, "separators": (",", ": "), "indent": 2}
 
 
 def _json_dumps(data) -> str:
-    return json.dumps(data, ensure_ascii=False, separators=(",", ": "), indent=2)
+    return json.dumps(data, **_JSON_STYLE)
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -255,16 +256,21 @@ def cmd_hasse(parser, args) -> int:
     _admit(parser, args.force, what, _dense_estimate, args.family, args.n, args.n)
     # the diagram needs only labels and covers: no lattice tables
     poset, _, _ = _family_poset(args.family, args.n)
-    if args.format == "json":
-        text = _json_dumps(poset.to_json_dict()) + "\n"
-    else:
-        text = poset.to_dot()
+
+    def write(fh):
+        if args.format == "json":
+            # streamed: the diagram's text is never held whole
+            json.dump(poset.to_json_dict(), fh, **_JSON_STYLE)
+            fh.write("\n")
+        else:
+            fh.write(poset.to_dot())
+
     if args.output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return 0
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return 2

@@ -139,6 +139,7 @@ def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
 CALIBRATION = {
     "nbb-bases --family B --n 8": ("_dense_estimate", "B", 8, 8),
     "nbb-bases --family A --n 16": ("_dense_estimate", "A", 16, 16),
+    "hasse --family A --n 16 --format json": ("_dense_estimate", "A", 16, 16),
     "mobius --family B --n 11": ("_table_free_estimate", 11),
     "mobius --family B --n 12": ("_table_free_estimate", 12),
     "verify --max-n 7": ("_dense_estimate", "ABC", 1, 7),
@@ -352,6 +353,39 @@ def test_verify_catches_a_wrong_atom_join(capsys, monkeypatch):
     assert "FAIL nbb-order-independence family=B n=4" in out
 
 
+def test_verify_catches_a_dropped_cover(capsys, monkeypatch):
+    # C at n=6 loses the cover 1212 < 11112 from its edge list while its
+    # order matrix stays right. The recurrence reads the order; the NBB
+    # search reads the atom joins, which the meet kernel finds over the
+    # covers, so the two routes disagree
+    true_poset = families._family_poset
+
+    def dropped(family, n):
+        poset, adjoined, words = true_poset(family, n)
+        if (family, n) == ("C", 6):
+            lo, hi = poset._covers
+            keep = (lo != poset.index("1212")) | (hi != poset.index("11112"))
+            assert keep.sum() == len(lo) - 1
+            poset._covers = (lo[keep], hi[keep])
+        return poset, adjoined, words
+
+    monkeypatch.setattr(families, "_family_poset", dropped)
+    families.build_family.cache_clear()
+    try:
+        code, out, _ = run_capture(capsys, ["verify", "--max-n", "6", "--format", "json"])
+    finally:
+        families.build_family.cache_clear()  # no later test may see the faulty lattice
+    assert code == 1
+    failed = {(c["claim"], c["family"], c["n"]): c["witness"] for c in json.loads(out)["claims"] if not c["pass"]}
+    assert failed.keys() == {
+        ("nbb-order-independence", "C", 6),
+        ("nbb-bases-predicted", "C", 6),
+        ("mobius-identity", "-", 6),
+    }
+    assert failed[("nbb-order-independence", "C", 6)] == "canonical order disagrees with the recurrence"
+    assert all(failed.values())
+
+
 @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: f"{c.id}:{c.family}")
 def test_a_failing_claim_fails_verify_at_exactly_its_sizes(capsys, monkeypatch, claim):
     monkeypatch.setattr(claim, "check", lambda n, seed: ["x"])
@@ -562,6 +596,34 @@ def test_module_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert all(c["pass"] for c in data["claims"])
+
+
+# A fresh interpreter imports the package, runs one command and reports its
+# OS threads, its OPENBLAS_NUM_THREADS and the command's exit code.
+_THREAD_PROBE = """
+import json, os
+import mobiuslat
+from mobiuslat import cli
+code = cli.main(["mobius", "--family", "B", "--n", "9"])
+print(json.dumps([len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"), code]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("caller_value", [None, "2"])
+def test_the_package_loads_numpy_with_one_blas_thread(caller_value):
+    # no code here calls BLAS: numpy is loaded with one OpenBLAS thread, and
+    # the environment is left as the caller set it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if caller_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_value
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    threads, value, code = json.loads(proc.stdout.splitlines()[-1])
+    assert (value, code) == (caller_value, 0)
+    if caller_value is None:
+        assert threads == 1
 
 
 def _console_script_target(name):
