@@ -12,7 +12,7 @@ exception is reported as one line on stderr instead of a traceback.
 
 Every lattice command first estimates the peak bytes it will hold, from
 the element counts alone: Catalan for B, Fibonacci for A and C.  Without
---force the estimate must fit BUDGET_BYTES; with it, physical memory.  A
+--force the estimate must fit BUDGET_BYTES; with it, available memory.  A
 request past its limit exits 2 with one line on stderr before anything is
 enumerated.  The dense estimate (nbb-bases, hasse, mobius for A and C,
 verify) counts each order matrix and what its build adds; mobius for B
@@ -36,6 +36,10 @@ from .families import (
 )
 from .fibpoly import fib_poly, h_poly
 from .nbb import nbb_bases_of
+
+# bound here, so that it clears build_family's own cache even where a wrapper
+# without cache_clear is later bound over the name, as a tracer does
+_clear_built_families = build_family.cache_clear
 
 # Peak bytes a command may hold without --force: admits dense B up to n=9,
 # A and C up to n=19, verify --max-n 9 and B's table-free mobius up to n=13,
@@ -81,9 +85,10 @@ def _element_count(family: str, n: int, cap: float = math.inf) -> int | None:
 def _dense_estimate(families: str, n_lo: int, n_hi: int, cap: float = math.inf) -> int | None:
     """Peak bytes of building the dense lattices of families at sizes n_lo..n_hi.
 
-    build_family caches what it builds, so the order matrices of the
-    smaller sizes, one byte per entry, stay held while the largest are
-    built.  Building one holds its order matrix and validation's three
+    build_family caches what it builds, so under verify the order matrices
+    of the smaller sizes, one byte per entry, stay held while the largest
+    are built; mobius frees each size before the next, and passes n_lo =
+    n_hi.  Building one holds its order matrix and validation's three
     bit-packed copies of it, 3/8 byte per entry, which outweigh the lattice
     check's N x k arrays from B9 on; and 2.5 KiB per element, for the
     labels, the words and, below B9, the check.  verify's chained-inversion
@@ -91,7 +96,7 @@ def _dense_estimate(families: str, n_lo: int, n_hi: int, cap: float = math.inf) 
     about 2 max_n + 8 bytes a word: less than a build adds, 1.1 against
     1.3 GiB at max_n = 11.  Traced peaks were 0.60 to 0.91 of this for
     nbb-bases at B8..B10 and A16..A20, 0.6 to 0.8 for verify --max-n 7..9
-    and 0.91 for mobius --family A --n 1..19.  hasse's JSON text, made
+    and 0.83 for mobius --family A --n 1..19.  hasse's JSON text, made
     after the poset, took A16's peak 4% past it, and stays under it from
     A18 on; below about 1 MiB a fixed few hundred KiB that it leaves out
     can outweigh it.  None once a count passes cap, which the estimate then
@@ -127,23 +132,42 @@ def _size(nbytes: int) -> str:
     return f"{nbytes / 2**30:.1f} GiB"
 
 
+def _available_memory() -> int | None:
+    """Bytes a new request may take: MemAvailable, else physical memory, else None.
+
+    MemAvailable, from /proc/meminfo, leaves out what other processes and
+    the kernel hold.  Where it is missing, all of physical memory stands in
+    for it; where sysconf cannot tell that either, there is no limit.
+    """
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the field is in KiB
+    except OSError:
+        pass
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):  # no sysconf on this platform
+        return None
+
+
 def _admit(parser, force: bool, what: str, estimate, *size) -> None:
     """Refuse with exit 2, before anything is enumerated, a request past its limit.
 
-    The limit is BUDGET_BYTES, or with --force physical memory.
+    The limit is BUDGET_BYTES, or with --force available memory.
     estimate(*size, cap) returns the request's peak bytes, or None once a
     count passes cap, which is then refused without an exact figure.
     """
     if force:
-        try:
-            limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, ValueError):  # no sysconf on this platform: nothing to compare
+        limit = _available_memory()
+        if limit is None:  # nothing to compare
             return
-        over, then = f"the {_size(limit)} of physical memory", "refused"
+        over, then = f"the {_size(limit)} of available memory", "refused"
     else:
         limit = BUDGET_BYTES
         over = f"the default budget of {_size(limit)}"
-        then = "pass --force to allow up to physical memory"
+        then = "pass --force to allow up to available memory"
     need = estimate(*size, cap=limit)
     if need is None:
         parser.exit(2, f"mobiuslat: {what} needs more than {over}; {then}\n")
@@ -161,12 +185,13 @@ def cmd_mobius(parser, args) -> int:
     what = f"family {args.family} at n={n_hi}"
     if args.family == "B":  # both of B's routes run table-free (see mobius_summary)
         _admit(parser, args.force, what, _table_free_estimate, n_hi)
-    else:
-        _admit(parser, args.force, what, _dense_estimate, args.family, n_lo, n_hi)
+    else:  # each size is freed before the next, so the largest sets the peak
+        _admit(parser, args.force, what, _dense_estimate, args.family, n_hi, n_hi)
     rows = []
     all_agree = True
     for n in range(n_lo, n_hi + 1):
         summary = mobius_summary(n, families=(args.family,))
+        _clear_built_families()
         all_agree &= summary["agree"]
         rows.append(summary)
     if args.format == "json":
@@ -320,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--force",
             action="store_true",
-            help="allow sizes past the default memory budget, up to physical memory",
+            help="allow sizes past the default memory budget, up to available memory",
         )
 
     p = sub.add_parser("mobius", help="compare every computation of the Mobius number")

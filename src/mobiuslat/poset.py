@@ -54,8 +54,9 @@ search reads only the joins x v a with the atoms a, which are the kernel
 on the dual with the atoms as targets.  The kernel answers in extension
 positions: the tables and the atom joins map its columns back to element
 indices, and the check reads only whether it raised.  Every table is
-built only when asked for, and shared with the dual; the extension, its
-covers and runs, and the Mobius columns are kept per orientation too.
+built only when asked for and kept in the poset's store, which the dual
+shares, under the orientation it belongs to, as are the extension, its
+covers and runs, the Mobius columns and the atoms.
 
 A failed check runs the kernel again with every element as a target, to
 name a witness: the pair without a meet whose later element comes
@@ -78,7 +79,7 @@ run that stops nowhere flags nothing and completes the table.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,8 +163,9 @@ class FinitePoset:
 
     A boolean matrix is not copied: leq is a read-only view of it, so the
     caller's array stays writable but must not change afterwards.  It is
-    the only N x N array the poset holds or allocates: the covers are an
-    edge list, `_covers` = (lo, hi), and validation works on packed rows.
+    the only N x N array the poset allocates: the covers are an edge list,
+    `_covers` = (lo, hi) sorted by lo and then hi, and validation works on
+    packed rows.  Lattice tables built later live in the store.
     """
 
     def __init__(self, labels, leq: np.ndarray):
@@ -193,7 +195,7 @@ class FinitePoset:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         # what is derived from one orientation of the order, kept in a store
         # shared with the dual under (side, key): the extension and its
-        # covers, its runs, and the Mobius columns
+        # covers, its runs, the Mobius columns, and the lattice tables and atoms
         self._store: dict = {}
         self._side = 0
 
@@ -336,32 +338,24 @@ class FinitePoset:
 
 @dataclass(frozen=True)
 class BoundedLattice:
-    """A finite lattice: poset, its bounds, and lattice tables built on demand.
+    """A finite lattice: poset and its bounds; lattice tables built on demand.
 
     `as_lattice` proves the poset a lattice without building a table.
-    Every table is built the first time it is asked for and kept in a store
-    shared with the dual, where each orientation of the order has its own
-    slot: the join table of one is the meet table of the other, so no
-    table is ever built twice.
+    Every table is built the first time it is asked for and kept in the
+    poset's store, under the orientation it belongs to: the join table of
+    one orientation is the meet table of the other, so no table is ever
+    built twice.
     """
 
     poset: FinitePoset
     bottom: int
     top: int
-    _tables: dict = field(repr=False, compare=False)
-    _side: int = 0  # which orientation of the shared store this lattice reads
-
-    def _table(self, kind: str, side: int, build) -> np.ndarray:
-        table = self._tables.get((kind, side))
-        if table is None:
-            table = self._tables[(kind, side)] = build()
-        return table
 
     @property
     def meet_table(self) -> np.ndarray:
         every = np.arange(self.size)
-        return self._table(
-            "meet", self._side, lambda: _by_index(self.poset, _meets_with(self.poset, every))
+        return self.poset._derived(
+            "meet", lambda: _by_index(self.poset, _meets_with(self.poset, every))
         )
 
     @property
@@ -378,7 +372,7 @@ class BoundedLattice:
             dual = self.poset.dual()
             return _by_index(dual, _meets_with(dual, self.atoms())).T
 
-        return self._table("atom joins", self._side, build)
+        return self.poset._derived("atom joins", build)
 
     @property
     def size(self) -> int:
@@ -417,17 +411,17 @@ class BoundedLattice:
 
         The bottom lies under every element, so x covers it exactly when
         x's down-set is {bottom, x}.  Found once per orientation and kept
-        in the table store; each call returns a new list, which the caller
-        may shuffle.
+        in the poset's store; each call returns a new list, which the
+        caller may shuffle.
         """
-        found = self._table(
-            "atoms", self._side, lambda: tuple(np.flatnonzero(self.poset._down_sizes == 2).tolist())
+        found = self.poset._derived(
+            "atoms", lambda: tuple(np.flatnonzero(self.poset._down_sizes == 2).tolist())
         )
         return list(found)
 
     def coatoms(self) -> list[int]:
-        """Elements covered by the top, in element-index order: up-sets {x, top}."""
-        return np.flatnonzero(self.poset._up_sizes == 2).tolist()
+        """Elements covered by the top, in element-index order: the atoms of the dual."""
+        return self.dual().atoms()
 
     def mobius_number(self) -> int:
         """mu(bottom, top) by the defining recurrence."""
@@ -436,18 +430,10 @@ class BoundedLattice:
     def dual(self) -> "BoundedLattice":
         """Reverse the order: bounds swap, and so do meets and joins.
 
-        The dual reads the other slots of the same table store, so it hands
-        over whichever tables exist and builds none.
+        The dual poset reads the other orientation of the same store, so it
+        hands over whichever tables exist and builds none.
         """
-        dual_poset = self.poset.dual()
-        return BoundedLattice(dual_poset, self.top, self.bottom, self._tables, 1 - self._side)
-
-
-def _cover_pairs(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
-    """Cover pairs (lo, hi) as two index arrays, sorted by hi, then by lo."""
-    lo, hi = poset._covers
-    by_hi = np.lexsort((lo, hi))
-    return lo[by_hi], hi[by_hi]
+        return BoundedLattice(self.poset.dual(), self.top, self.bottom)
 
 
 def _extension_covers(poset: FinitePoset) -> tuple[np.ndarray, ...]:
@@ -463,7 +449,9 @@ def _extension_covers(poset: FinitePoset) -> tuple[np.ndarray, ...]:
         ext = np.argsort(poset._down_sizes, kind="stable")
         pos = np.empty(n, dtype=np.intp)
         pos[ext] = np.arange(n)
-        lo, hi = _cover_pairs(poset)
+        # `_covers` lists each upper end's lower ends in ascending order, in
+        # either orientation, and the stable sort keeps that order
+        lo, hi = poset._covers
         by_pos = np.argsort(pos[hi], kind="stable")
         lo, hi = pos[lo[by_pos]], pos[hi[by_pos]]
         first = np.searchsorted(hi, np.arange(n + 1))
@@ -632,4 +620,4 @@ def as_lattice(poset: FinitePoset) -> BoundedLattice:
     except NotALattice:
         _meets_with(poset, np.arange(n))  # raises NotALattice with the witness
         raise RuntimeError("the lattice check failed, yet every meet exists") from None
-    return BoundedLattice(poset, int(bottoms[0]), int(tops[0]), {})
+    return BoundedLattice(poset, int(bottoms[0]), int(tops[0]))

@@ -81,7 +81,7 @@ def test_mobius_bound_gate(capsys):
     assert code == 2
     assert err == (
         "mobiuslat: family B at n=14 needs about 245 MiB, more than the default "
-        "budget of 128 MiB; pass --force to allow up to physical memory\n"
+        "budget of 128 MiB; pass --force to allow up to available memory\n"
     )
     code, out, _ = run_capture(capsys, ["mobius", "--family", "B", "--n", "10"])
     assert code == 0
@@ -114,7 +114,7 @@ def test_mobius_bound_gate(capsys):
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     # B at n=12 has 208 013 elements, and its order matrix alone is ~40 GiB;
     # B's table-free mobius at n=20 holds 6.6e9 elements at ~100 B each; past
-    # about n=21 for B and n=48 for A and C no count fits physical memory in
+    # about n=21 for B and n=48 for A and C no count fits available memory in
     # bytes, so counting stops there and the refusal is immediate
     def unreachable(*args):
         raise AssertionError("enumeration started")
@@ -130,7 +130,20 @@ def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "physical memory" in err
+    assert err.count("\n") == 1 and "available memory" in err
+
+
+def test_force_admits_only_what_fits_available_memory(capsys, monkeypatch):
+    # A at n=24 is estimated at 7.4 GiB: on a machine with 7.8 GiB of physical
+    # memory of which 7.3 GiB are available, --force must refuse it
+    monkeypatch.setattr(cli, "_available_memory", lambda: int(7.3 * 2**30))
+    monkeypatch.setattr(cli, "mobius_summary", lambda *args, **kwargs: pytest.fail("admitted"))
+    code, out, err = run_capture(capsys, ["mobius", "--family", "A", "--n", "24", "--force"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "mobiuslat: family A at n=24 needs about 7.4 GiB, more than the 7.3 GiB "
+        "of available memory; refused\n"
+    )
 
 
 # The estimate may neither admit what cannot fit nor refuse far more than it
@@ -142,6 +155,7 @@ CALIBRATION = {
     "hasse --family A --n 16 --format json": ("_dense_estimate", "A", 16, 16),
     "mobius --family B --n 11": ("_table_free_estimate", 11),
     "mobius --family B --n 12": ("_table_free_estimate", 12),
+    "mobius --family A --n 1..19": ("_dense_estimate", "A", 19, 19),
     "verify --max-n 7": ("_dense_estimate", "ABC", 1, 7),
     "verify --max-n 8": ("_dense_estimate", "ABC", 1, 8),
 }
@@ -384,6 +398,50 @@ def test_verify_catches_a_dropped_cover(capsys, monkeypatch):
     }
     assert failed[("nbb-order-independence", "C", 6)] == "canonical order disagrees with the recurrence"
     assert all(failed.values())
+
+
+@pytest.mark.parametrize("coatom", ["11112", "11121", "11211", "12111", "21111"])
+def test_verify_fails_a_claim_when_a_dropped_cover_breaks_the_lattice_check(capsys, monkeypatch, coatom):
+    # C at n=6 loses a cover coatom < 111111 from its edge list: the meet
+    # kernel, which walks the covers, finds a pair without a meet, and each
+    # claim that reaches the kernel fails with that pair as its witness
+    true_poset = families._family_poset
+
+    def dropped(family, n):
+        poset, adjoined, words = true_poset(family, n)
+        if (family, n) == ("C", 6):
+            lo, hi = poset._covers
+            keep = (lo != poset.index(coatom)) | (hi != poset.index("111111"))
+            assert keep.sum() == len(lo) - 1
+            poset._covers = (lo[keep], hi[keep])
+        return poset, adjoined, words
+
+    monkeypatch.setattr(families, "_family_poset", dropped)
+    families.build_family.cache_clear()
+    try:
+        code, out, err = run_capture(capsys, ["verify", "--max-n", "6", "--format", "json"])
+    finally:
+        families.build_family.cache_clear()  # no later test may see the faulty lattice
+    assert (code, err) == (1, "")
+    failed = [c for c in json.loads(out)["claims"] if not c["pass"]]
+    assert failed and all(c["witness"].startswith("no unique") for c in failed)
+
+
+def test_available_memory_reads_meminfo_then_physical_pages(monkeypatch):
+    import io
+
+    meminfo = "MemTotal:        8211568 kB\nMemAvailable:    7686572 kB\n"
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: io.StringIO(meminfo), raising=False)
+    assert cli._available_memory() == 7686572 * 1024
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: io.StringIO("MemTotal: 1 kB\n"), raising=False)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert cli._available_memory() == physical
+
+    def no_sysconf(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(cli.os, "sysconf", no_sysconf)
+    assert cli._available_memory() is None
 
 
 @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: f"{c.id}:{c.family}")

@@ -343,6 +343,13 @@ def test_theta_meet_adjacent_collapses():
     assert theta_meet(5, [2, 3]) == BOTTOM_LABEL
 
 
+def test_theta_meet_builds_no_lattice(monkeypatch):
+    # C20 is past the default budget, and the closed formula needs none of it
+    monkeypatch.setattr(families, "build_family", lambda *args: pytest.fail("lattice built"))
+    assert theta_meet(20, (1, 2)) == BOTTOM_LABEL
+    assert theta_meet(20, (1, 3, 19)) == "22111111111111112"
+
+
 def test_theta_meet_bad_indices():
     with pytest.raises(ValueError):
         theta_meet(4, [])
@@ -526,8 +533,8 @@ def test_verify_builds_no_meet_or_join_table():
     cached = families.build_family.cache_info().currsize
     lattices = [build_family(family, n).lattice for family in "ABC" for n in range(1, 9)]
     assert families.build_family.cache_info().currsize == cached == len(lattices)
-    assert not [key for lat in lattices for key in lat._tables if key[0] == "meet"]
-    assert ("atom joins", 1) in build_family("C", 8).lattice._tables
+    assert not [key for lat in lattices for key in lat.poset._store if key[1] == "meet"]
+    assert (1, "atom joins") in build_family("C", 8).lattice.poset._store
 
 
 def test_long_labels_use_commas():
