@@ -10,8 +10,8 @@ claim or identity failed, 2 means the request itself was invalid or its
 size was refused, and 3 means the program itself failed: any unexpected
 exception is reported as one line on stderr instead of a traceback.
 
-Every lattice command first estimates the peak bytes it will hold, from
-the element counts alone: Catalan for B, Fibonacci for A and C.  Without
+Every command first estimates the peak bytes it will hold, from the
+counts alone: Catalan for B, Fibonacci for A, C and fib's sets.  Without
 --force the estimate must fit BUDGET_BYTES; with it, available memory.  A
 request past its limit exits 2 with one line on stderr before anything is
 enumerated.  The dense estimate (nbb-bases, hasse, mobius for A and C,
@@ -42,11 +42,9 @@ from .nbb import nbb_bases_of
 _clear_built_families = build_family.cache_clear
 
 # Peak bytes a command may hold without --force: admits dense B up to n=9,
-# A and C up to n=19, verify --max-n 9 and B's table-free mobius up to n=13,
-# each in under about 3 s
+# A and C up to n=19, verify --max-n 9, B's table-free mobius up to n=13 and
+# fib up to n=37, each in about 3 s
 BUDGET_BYTES = 128 * 2**20
-# H_n lists all F_n sparse sets, about 1.6 times more per step: 75025 at n=25
-FIB_MAX_N = 25
 EXIT_INTERNAL_ERROR = 3
 _JSON_STYLE = {"ensure_ascii": False, "separators": (",", ": "), "indent": 2}
 
@@ -123,6 +121,16 @@ def _table_free_estimate(n: int, cap: float = math.inf) -> int | None:
     """
     count = _element_count("B", n, cap)
     return None if count is None else count * 96 + 2**20
+
+
+def _fib_estimate(n: int, cap: float = math.inf) -> int | None:
+    """Peak bytes of fib at n: 5 for each of the F_n sparse sets h_poly lists.
+
+    Traced peaks were 4.4, 4.0 and 3.6 bytes a set at n = 26, 30 and 33,
+    and 256 KiB covers a first call's rest.  F_n is C's count at n - 1.
+    """
+    count = _element_count("C", n - 1, cap)
+    return None if count is None else count * 5 + 2**18
 
 
 def _size(nbytes: int) -> str:
@@ -305,12 +313,14 @@ def cmd_hasse(parser, args) -> int:
 def cmd_fib(parser, args) -> int:
     if args.n < 1:
         parser.error("n must be positive")
-    if args.n > FIB_MAX_N and not args.force:
-        parser.error(
-            f"n={args.n} exceeds the bound {FIB_MAX_N} for fib; "
-            "pass --force to run anyway"
-        )
+    _admit(parser, args.force, f"fib at n={args.n}", _fib_estimate, args.n)
     f = fib_poly(args.n)
+    value = None if args.eval is None else f.eval(args.eval)
+    try:  # before anything is printed, so that a refusal prints nothing
+        str(value)
+    except ValueError:  # past sys.get_int_max_str_digits(), which str enforces
+        limit = sys.get_int_max_str_digits()
+        parser.exit(2, f"mobiuslat: F_{args.n} at --eval has more than {limit} digits to print\n")
     h = h_poly(args.n)
     same = f == h
     if args.format == "json":
@@ -322,14 +332,14 @@ def cmd_fib(parser, args) -> int:
         }
         if args.eval is not None:
             data["eval_at"] = args.eval
-            data["value"] = f.eval(args.eval)
+            data["value"] = value
         print(_json_dumps(data))
     else:
         print(f"F_{args.n}(q) = {f}")
         print(f"H_{args.n}(q) = {h}")
         print("H = F" if same else "H != F")
         if args.eval is not None:
-            print(f"F_{args.n}({args.eval}) = {f.eval(args.eval)}")
+            print(f"F_{args.n}({args.eval}) = {value}")
     return 0 if same else 1
 
 
@@ -340,13 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p):
-        p.add_argument("--family", choices=("A", "B", "C"), required=True)
+    def add_force(p):
         p.add_argument(
             "--force",
             action="store_true",
             help="allow sizes past the default memory budget, up to available memory",
         )
+
+    def add_family(p):
+        p.add_argument("--family", choices=("A", "B", "C"), required=True)
+        add_force(p)
 
     p = sub.add_parser("mobius", help="compare every computation of the Mobius number")
     add_family(p)
@@ -364,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the whole claim suite")
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true")
+    add_force(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -376,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("fib", help="print the polynomial table")
-    p.add_argument("--n", type=int, required=True, help=f"index; above {FIB_MAX_N} needs --force")
+    p.add_argument("--n", type=int, required=True, help="index")
     p.add_argument("--eval", type=int, help="also evaluate at this integer")
-    p.add_argument("--force", action="store_true", help="allow n beyond the bound")
+    add_force(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_fib)
 

@@ -178,14 +178,16 @@ def _mobius_by_rank(packed: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _chained(rows: list[int]) -> bool:
+def _chained(rows: list) -> bool | np.ndarray:
     """Do inversion rows hold pairs (i, j) and (j, k), that is, a 321?
 
     Bit j of `starts` marks a nonempty row j; row i, shifted by i + 1,
-    puts each pair (i, j) on bit j.
+    puts each pair (i, j) on bit j.  The rows are one mask's, as Python
+    ints, or a block of masks', as int64 arrays, one answer per mask: no
+    term is negative, so each sum is nonzero exactly when some term is.
     """
-    starts = sum(1 << j for j, row in enumerate(rows) if row)
-    return any((row << i + 1) & starts for i, row in enumerate(rows))
+    starts = sum((row != 0) * (1 << j) for j, row in enumerate(rows))
+    return sum((row << i + 1) & starts for i, row in enumerate(rows)) != 0
 
 
 def _join_swap(n: int, mask: int | None, i: int | None) -> int | None:
@@ -676,45 +678,29 @@ def _coatom_meets(n: int, seed: int) -> list[str]:
 def _chained_inversion_disagreement(n: int) -> list[str]:
     """Failures of chained-inversion-characterization: the first disagreeing word, if any.
 
-    Both sides run on the n! words at once, in lexicographic order, so the
-    first index where they differ is the lexicographically first witness.
-    The containment side stays definitional and shares no code with the
-    chained sweep: `_contains_rows` tests every 3-subset of positions
-    against 321.  Its own function, so the n! words die before the lattices
-    that the next claims build.
+    The chained side is `_chained`, the test B's table-free join runs, on
+    the n! words a block at a time: row i, as `_rows` decodes it, has bit
+    j - i - 1 for each later, smaller entry j.  The containment side shares
+    no code with it: `_contains_rows` tests every 3-subset of positions
+    against 321.  Both answer in lexicographic order, so the first index
+    where they differ is the first witness.  Its own function, so the n!
+    words die before the lattices that the next claims build.
     """
     words = _avoider_words(n)
-    differ = np.flatnonzero(_has_chained_inversions(words) != _contains_rows(words, (3, 2, 1)))
+    chained = np.empty(len(words), dtype=bool)
+    step = max(1, _ORDER_CHUNK // n)
+    for lo in range(0, len(words), step):
+        cols = np.ascontiguousarray(words[lo : lo + step].T)
+        rows = [
+            sum((cols[i] > cols[j]).astype(np.int64) << j - i - 1 for j in range(i + 1, n))
+            for i in range(n)
+        ]
+        chained[lo : lo + step] = _chained(rows)
+    differ = np.flatnonzero(chained != _contains_rows(words, (3, 2, 1)))
     if not len(differ):
         return []
     first = Permutation(tuple(words[differ[0]].tolist()))
     return [f"{first}: chained inversions disagree with containment"]
-
-
-def _has_chained_inversions(words: np.ndarray) -> np.ndarray:
-    """Per row of an (N, n) array of words: are there inversions (i, j) and (j, k)?
-
-    Sweeps the middle position j over the columns: an inversion ends at j
-    when the largest earlier entry is larger, and one starts there when the
-    smallest later entry is smaller.  The words are transposed once, a
-    block of rows at a time, so each column is one contiguous row; the
-    largest earlier entry is kept as the sweep goes, and the smallest later
-    ones come from one accumulation over the reversed columns.
-    """
-    chained = np.zeros(len(words), dtype=bool)
-    n = words.shape[1]
-    if n < 3:
-        return chained
-    step = max(1, _SUBSET_CHUNK // n)
-    for lo in range(0, len(words), step):
-        cols = np.ascontiguousarray(words[lo : lo + step].T)
-        later = np.minimum.accumulate(cols[:0:-1], axis=0)[::-1]  # later[j]: least of columns > j
-        earlier = cols[0].copy()
-        found = chained[lo : lo + step]
-        for j in range(1, n - 1):
-            found |= (earlier > cols[j]) & (later[j] < cols[j])
-            np.maximum(earlier, cols[j], out=earlier)
-    return chained
 
 
 def _isomorphism(n: int, seed: int) -> list[str]:

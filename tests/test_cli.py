@@ -109,13 +109,16 @@ def test_mobius_bound_gate(capsys):
         ["mobius", "--family", "B", "--n", "10000000", "--force"],
         ["verify", "--max-n", "20000", "--force"],
         ["hasse", "--family", "C", "--n", "10000000", "--force"],
+        ["fib", "--n", "100", "--force"],
+        ["fib", "--n", "1000000000", "--force"],
     ],
 )
 def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     # B at n=12 has 208 013 elements, and its order matrix alone is ~40 GiB;
     # B's table-free mobius at n=20 holds 6.6e9 elements at ~100 B each; past
     # about n=21 for B and n=48 for A and C no count fits available memory in
-    # bytes, so counting stops there and the refusal is immediate
+    # bytes, so counting stops there and the refusal is immediate; so does
+    # fib's count of F_n sparse sets, past about n=45
     def unreachable(*args):
         raise AssertionError("enumeration started")
 
@@ -125,6 +128,8 @@ def test_force_refuses_what_cannot_fit(capsys, monkeypatch, argv):
     monkeypatch.setattr(families, "enumerate_avoiders", unreachable)
     monkeypatch.setattr(families, "avoiders_321", unreachable)
     monkeypatch.setattr(cli, "verify_all", unreachable)
+    monkeypatch.setattr(cli, "fib_poly", unreachable)
+    monkeypatch.setattr(cli, "h_poly", unreachable)
     start = time.perf_counter()
     code, out, err = run_capture(capsys, argv)
     assert time.perf_counter() - start < 1
@@ -158,6 +163,8 @@ CALIBRATION = {
     "mobius --family A --n 1..19": ("_dense_estimate", "A", 19, 19),
     "verify --max-n 7": ("_dense_estimate", "ABC", 1, 7),
     "verify --max-n 8": ("_dense_estimate", "ABC", 1, 8),
+    "fib --n 26": ("_fib_estimate", 26),
+    "fib --n 30": ("_fib_estimate", 30),
 }
 
 
@@ -571,22 +578,37 @@ def test_fib_rejects_bad_n(capsys):
 
 
 def test_fib_refuses_large_n_before_enumerating(monkeypatch):
+    # the default budget admits n=37, estimated at 115 MiB, and not n=38
     monkeypatch.setattr(cli, "h_poly", lambda n: pytest.fail("h_poly ran"))
-    assert run_cli(["fib", "--n", str(cli.FIB_MAX_N + 1)]) == 2
+    assert cli._fib_estimate(37) <= cli.BUDGET_BYTES < cli._fib_estimate(38)
+    assert run_cli(["fib", "--n", "38"]) == 2
     proc = subprocess.run(
         [sys.executable, "-m", "mobiuslat", "fib", "--n", "2000"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2
-    assert "exceeds the bound" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "mobiuslat: fib at n=2000 needs more than the default budget of 128 MiB; "
+        "pass --force to allow up to available memory\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fib_refuses_a_value_too_long_to_print(capsys, fmt):
+    # F_25 has degree 12, so at a 400-digit point it has about 4800 digits,
+    # past the 4300 that Python converts to a string by default
+    argv = ["fib", "--n", "25", "--eval", "9" * 400, "--format", fmt]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"mobiuslat: F_25 at --eval has more than {limit} digits to print\n"
 
 
 def test_fib_force_passes_the_bound(capsys, monkeypatch):
     # the sparse-set side is stubbed: only the gate is under test here
     monkeypatch.setattr(cli, "h_poly", cli.fib_poly)
-    n = str(cli.FIB_MAX_N + 1)
+    n = "38"
     code, out, _ = run_capture(capsys, ["fib", "--n", n, "--force"])
     assert code == 0
     assert out.startswith(f"F_{n}(q) = ")
@@ -682,6 +704,67 @@ def test_the_package_loads_numpy_with_one_blas_thread(caller_value):
     assert (value, code) == (caller_value, 0)
     if caller_value is None:
         assert threads == 1
+
+
+# A fresh interpreter wraps every public function of the package's six
+# modules in a functools.wraps wrapper, as a tracer does, binds the wrappers
+# over the originals in every module that holds them, and runs commands
+# through them; it prints how many names it rebound, and each command's exit
+# code and stdout.
+_WRAPPED_PROBE = """
+import contextlib, functools, importlib, inspect, io, json, sys
+
+def wrap(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
+    return wrapper
+
+wrapped, rebound = {}, 0
+for short in ("permutation", "poset", "nbb", "fibpoly", "families", "cli"):
+    mod = importlib.import_module(f"mobiuslat.{short}")
+    for name, obj in vars(mod).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj) or hasattr(obj, "cache_info"):
+            wrapped[id(obj)] = (obj, wrap(obj))
+for name, mod in list(sys.modules.items()):
+    if name == "mobiuslat" or name.startswith("mobiuslat."):
+        for attr, obj in list(vars(mod).items()):
+            original, wrapper = wrapped.get(id(obj), (None, None))
+            if original is obj:
+                setattr(mod, attr, wrapper)
+                rebound += 1
+from mobiuslat import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps([rebound, results]))
+"""
+
+
+def test_commands_run_with_every_public_function_wrapped(capsys):
+    # the traced benchmark binds such wrappers, which lack an lru_cache's
+    # cache_clear and cache_info, over the package's names
+    commands = [
+        ["mobius", "--family", "A", "--n", "3..4"],
+        ["mobius", "--family", "B", "--n", "9"],
+        ["nbb-bases", "--family", "C", "--n", "6"],
+        ["verify", "--max-n", "4"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRAPPED_PROBE, json.dumps(commands)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    rebound, results = json.loads(proc.stdout)
+    assert rebound > 50 and len(results) == len(commands), (rebound, len(results))
+    for argv, (code, out) in zip(commands, results):
+        assert [code, out] == [0, run_capture(capsys, argv)[1]], argv
 
 
 def _console_script_target(name):

@@ -35,11 +35,12 @@ from mobiuslat.families import (
     word_label,
 )
 from mobiuslat.families import (
+    _chained,
+    _chained_inversion_disagreement,
     _closure_failures,
     _containment_order,
     _cover_words,
     _family_poset,
-    _has_chained_inversions,
     _join_swap,
     _mobius_by_rank,
     _pack,
@@ -571,10 +572,13 @@ def test_word_array_builds_match_per_word_masks():
 
 
 def test_chained_inversion_predicate_matches_per_word_loop():
+    # _chained on one mask's rows as Python ints, as _join_swap calls it, and
+    # on a whole array of words' rows at once, as the claim calls it
     for n in range(1, 8):
         words = list(itertools.permutations(range(1, n + 1)))
-        got = _has_chained_inversions(np.array(words, dtype=np.int8).reshape(-1, n))
-        for w, flag in zip(words, got.tolist()):
+        packed = inversion_limbs(np.array(words, dtype=np.uint8).reshape(-1, n))[0]
+        on_arrays = _chained(_rows(n, packed[:, 0].view(np.int64)))
+        for w, flag in zip(words, on_arrays.tolist()):
             inv = inversion_set(Permutation(w))
             expect = any(
                 (i, j) in inv and (j, k) in inv
@@ -582,33 +586,41 @@ def test_chained_inversion_predicate_matches_per_word_loop():
                 for i in range(1, j)
                 for k in range(j + 1, n + 1)
             )
+            assert _chained(_rows(n, inversion_mask(Permutation(w)))) is expect, w
             assert flag == expect, w
 
 
-def column_by_column_chained(words):
-    """The earlier sweep: every earlier and every later entry of each column compared."""
-    chained = np.zeros(len(words), dtype=bool)
-    for j in range(1, words.shape[1] - 1):
-        mid = words[:, j : j + 1]
-        chained |= (words[:, :j] > mid).any(axis=1) & (words[:, j + 1 :] < mid).any(axis=1)
-    return chained
+def test_chained_inversion_claim_reads_the_rows_of_each_inversion_mask(monkeypatch):
+    # the rows the claim builds from the words are those that _rows decodes
+    # from inversion_mask, past one 64-bit limb too; the n! words are
+    # replaced by 200 random ones, as 12! would not fit
+    seen, rng = [], np.random.default_rng(28)
+    monkeypatch.setattr(families, "_chained", lambda rows: seen.append(rows) or _chained(rows))
+    for n in (2, 5, 11, 12, 14):
+        words = np.array([rng.permutation(n) + 1 for _ in range(200)], dtype=np.uint8)
+        monkeypatch.setattr(families, "_avoider_words", lambda n, words=words: words)
+        seen.clear()
+        assert _chained_inversion_disagreement(n) == [], n
+        (rows,) = seen
+        rows = np.array([np.broadcast_to(row, len(words)) for row in rows]).T
+        for row, w in zip(rows.tolist(), words.tolist()):
+            assert row == _rows(n, inversion_mask(Permutation(tuple(w)))), w
 
 
-def test_chained_sweep_matches_the_column_by_column_sweep(monkeypatch):
-    # all n! words for n <= 8, then random integer arrays with repeats and
-    # negative entries, with blocks of a few rows so that several are swept
-    for n in range(0, 9):
-        words = _avoider_words(n)
-        assert np.array_equal(_has_chained_inversions(words), column_by_column_chained(words)), n
-    monkeypatch.setattr(families, "_SUBSET_CHUNK", 40)
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        words = rng.integers(-4, 5, size=(int(rng.integers(0, 60)), int(rng.integers(0, 9))))
-        assert np.array_equal(_has_chained_inversions(words), column_by_column_chained(words))
+def test_chained_inversion_claim_is_stitched_across_blocks(monkeypatch):
+    # blocks of a few words each: every n! still agrees, and the first word
+    # that disagrees is still the witness when it sits in a later block
+    monkeypatch.setattr(families, "_ORDER_CHUNK", 40)
+    for n in range(1, 8):
+        assert _chained_inversion_disagreement(n) == [], n
+    # 3412 and 3421 are the words of S_4 whose first entry beats only the
+    # last two; 3412 avoids 321, and sits in the second block of ten
+    monkeypatch.setattr(families, "_chained", lambda rows: _chained(rows) | (rows[0] == 0b110))
+    assert _chained_inversion_disagreement(4) == ["3412: chained inversions disagree with containment"]
 
 
 def test_chained_inversion_claim_can_fail(monkeypatch):
-    monkeypatch.setattr(families, "_has_chained_inversions", lambda words: np.zeros(len(words), bool))
+    monkeypatch.setattr(families, "_chained", lambda rows: False)
     claim = next(c for c in verify_structure(3) if c.id == "chained-inversion-characterization")
     assert not claim.passed
     assert claim.witness == "321: chained inversions disagree with containment"
