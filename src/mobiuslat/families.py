@@ -79,16 +79,29 @@ def composition_words(n: int) -> list[tuple[int, ...]]:
     """All compositions of n into parts 1 and 2, in lexicographic order."""
     if n < 1:
         raise ValueError("n must be positive")
+    return _compositions(n)[0]
 
-    def rec(m):
-        if m == 0:
-            return [()]
-        out = [(1,) + w for w in rec(m - 1)]
-        if m >= 2:
-            out += [(2,) + w for w in rec(m - 2)]
-        return out
 
-    return sorted(rec(n))
+def _compositions(n: int) -> tuple[list[tuple[int, ...]], list[str], list[int]]:
+    """The 1/2 compositions of n in lexicographic order, their labels and their split masks.
+
+    The words of m are 1 before each word of m - 1, then 2 before each word
+    of m - 2, which is already lexicographic order.  A split mask has bit
+    s - 1 for each partial sum s short of n.  The levels carry bit s for
+    each partial sum s short of m, the empty sum 0 included, and nothing
+    for the empty word, so a part c before w maps w's bits b to b << c | 1;
+    one shift down at the end leaves the split masks.
+    """
+    shorter, level = ([], [], []), ([()], [""], [0])
+    for _ in range(n):
+        (words, labels, sums), (words2, labels2, sums2) = level, shorter
+        shorter, level = level, (
+            [(1, *w) for w in words] + [(2, *w) for w in words2],
+            ["1" + label for label in labels] + ["2" + label for label in labels2],
+            [s << 1 | 1 for s in sums] + [s << 2 | 1 for s in sums2],
+        )
+    words, labels, sums = level
+    return words, labels, [s >> 1 for s in sums]
 
 
 def _check_word(n: int, word) -> tuple[int, ...]:
@@ -96,11 +109,6 @@ def _check_word(n: int, word) -> tuple[int, ...]:
     if not word or any(c not in (1, 2) for c in word) or sum(word) != n:
         raise NotACompositionWord(f"{word!r} is not a 1/2 composition of {n}")
     return word
-
-
-def _split_mask(word) -> int:
-    """Bit s-1 set for each partial sum s of a composition word, short of n."""
-    return sum(1 << (total - 1) for total in itertools.accumulate(word[:-1]))
 
 
 # Mask pairs compared at once.  Blocks are bounded in entries, not rows:
@@ -141,10 +149,13 @@ def _subsets(a: np.ndarray, not_b: np.ndarray, out: np.ndarray | None = None) ->
 def _containment_order(packed: np.ndarray, out: np.ndarray) -> None:
     """Write out[p, q] = (mask p is a subset of mask q) in place.
 
-    The masks are rows of 64-bit limbs, as `_pack` lays them out.  `out` is
-    the caller's order matrix, or the slice of it that leaves out an
-    adjoined bound.
+    The masks are rows of 64-bit limbs, as `_pack` lays them out; masks of
+    one limb are compared in the narrowest unsigned type that holds them,
+    which moves less memory per pair.  `out` is the caller's order matrix,
+    or the slice of it that leaves out an adjoined bound.
     """
+    if packed.shape[1] == 1:
+        packed = packed.astype(np.min_scalar_type(int(packed.max(initial=0))))
     outside = ~packed
     step = max(1, _ORDER_CHUNK // max(len(packed), 1))
     for lo in range(0, len(packed), step):
@@ -213,9 +224,10 @@ class _MaskView:
     `atoms` lists the transposition indices i in order position (None for
     the top at n=1), and joins are `_join_swap`.  Masks get ids as the
     passes reach them, the identity 0 and the top 1, which `masks` holds as
-    None, like `FamilyLattice.elements`.  The atoms strictly below a mask
-    are its descents, the pairs (i, i+1) in it, unless it is that one
-    pair; their earliest position is cached per id.
+    None, like `FamilyLattice.elements`.  A step joins only the ids in g's
+    support.  The atoms strictly below a mask are its descents, the pairs
+    (i, i+1) in it, unless it is that one pair; their earliest position is
+    kept per id.
     """
 
     bottom, top = 0, 1
@@ -234,11 +246,15 @@ class _MaskView:
     def size(self) -> int:
         return len(self.masks)
 
-    def with_atom(self, m: int, x: np.ndarray) -> np.ndarray:
-        return np.array([self._join(m, i) for i in x.tolist()], dtype=np.intp)
-
-    def first(self, y: np.ndarray) -> np.ndarray:
-        return np.array([self._first[i] for i in y.tolist()], dtype=np.intp)
+    def step(self, m: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of g's support whose join with a_m has no atom before m below it, and the joins."""
+        xs, ys = [], []
+        for i in np.flatnonzero(g).tolist():
+            j = self._join(m, i)
+            if self._first[j] >= m:
+                xs.append(i)
+                ys.append(j)
+        return np.array(xs, dtype=np.intp), np.array(ys, dtype=np.intp)
 
     def _join(self, m: int, i: int) -> int:
         mask = _join_swap(self.n, self.masks[i], self.atoms[m])
@@ -354,8 +370,8 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, np.ndarray | l
     if n < 1:
         raise ValueError("n must be positive")
     if family == "C":
-        words = composition_words(n)
-        labels, packed = [word_label(w) for w in words], _pack([_split_mask(w) for w in words])
+        words, labels, masks = _compositions(n)
+        packed = _pack(masks)
     else:
         if family == "B":
             words = avoiders_321(n)

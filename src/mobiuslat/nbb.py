@@ -45,19 +45,25 @@ elements, however many NBB sets there are.  The listing runs the same
 passes with each element carrying its NBB sets in place of their signed
 count.
 
-Both read the lattice through two calls only, made on arrays of
-element ids: with_atom(m, x) = x v a_m, and first(y), the earliest
-position of an atom strictly below y (k when there is none), so that an
-atom before m lies strictly below y exactly when first(y) < m.  A view
-that serves them also names its bottom ids, its number of element ids so
-far and its atoms in order position.  `_Search` serves them from dense
-numpy slices of a `BoundedLattice`, for one atom order or for T orders of
-the same lattice at once: order t's copy of element x has the id t*N + x,
-its bottoms are the T ids t*N + bottom, and each pass runs every order
-together.  No set ever joins across copies, since with_atom keeps an id in
-its copy.  A view that builds elements only as the passes reach them, such
-as family B's inversion-mask view, may hand out new ids in with_atom, and
-the column grows to match.
+Both read the lattice through one call, step(m, g), where g holds one
+entry per element id.  It returns ids x and their joins y = x v a_m, for
+the x whose sets stay NBB with the atom a_m prepended, that is, with no
+atom before m strictly below y, and a pass sends g's entries from x to y.
+The x must take in every such id of g's support; an id outside the
+support carries nothing, so a view may return more.  A view also names
+its bottom ids, its number of ids so far and its atoms in order position.
+
+`_Search` is the dense view, for one atom order or for T orders of the
+same lattice at once: order t's copy of element x has the id t*N + x, its
+bottoms are the T ids t*N + bottom, and each pass runs every order
+together.  No set ever joins across copies, since a join keeps an id in
+its copy.  It reads two tables that each lattice builds once: the joins
+x v a with every atom a, and for every atom a and element x the atoms
+strictly below x v a, as a bit mask over the atoms.  An order adds only
+its k prefix masks, the atoms before each position, and a step reads one
+row of each table.  A view that builds elements only as the passes reach
+them, such as family B's inversion-mask view, steps from g's support
+alone and may hand out new ids, and the column grows to match.
 """
 
 from __future__ import annotations
@@ -108,55 +114,88 @@ def shuffled_order(lattice: BoundedLattice, rng) -> AtomOrder:
     return AtomOrder(lattice, tuple(seq))
 
 
+def _atoms_below_joins(lattice: BoundedLattice) -> np.ndarray:
+    """The atoms below x v a, for every atom a and element x, as bit masks.
+
+    Bit s marks atom row s, the atoms in `atoms()` order.  Entry [l, r, x]
+    is limb l of the mask for the atom of row r and element x: one limb of
+    the narrowest unsigned type that holds k bits, or uint64 limbs past 64
+    atoms, limb l holding rows 64l to 64l + 63.  Each element's mask is
+    packed from k rows of `leq` and then gathered through the atom join
+    columns.  "Below" may as well be "strictly below" here: the only atom
+    x v a can equal is a, and a search never asks about a at a's own
+    position.  Built once per orientation, and kept in the poset's store.
+    """
+    def build():
+        atoms = lattice.atoms()
+        k, n = len(atoms), lattice.size
+        dtype = np.min_scalar_type((1 << k) - 1) if k <= 64 else np.dtype(np.uint64)
+        limbs = max(1, -(-k // 64))
+        packed = np.zeros((n, limbs * dtype.itemsize), dtype=np.uint8)
+        packed[:, : -(-k // 8)] = np.packbits(lattice.poset.leq[atoms], axis=0, bitorder="little").T
+        below = packed.view(dtype.newbyteorder("<"))[lattice.atom_join_columns()]  # (k, N, limbs)
+        return np.ascontiguousarray(np.moveaxis(below, 2, 0), dtype=dtype)
+
+    return lattice.poset._derived("atoms below joins", build)
+
+
+def _prefixes(rows: np.ndarray, dtype, limbs: int) -> np.ndarray:
+    """The atoms before each position, as masks by atom row.
+
+    rows[p, t] is the row of the atom at position p under order t, and
+    entry [l, p, t] is limb l of the mask of the atoms at positions before
+    p.  Each position adds its own atom's bit, so one cumulative OR down
+    the positions, less that bit, gives them.
+    """
+    limb, bit = np.divmod(rows, 8 * np.dtype(dtype).itemsize)
+    own = np.left_shift(np.ones((), dtype), bit.astype(dtype)) * (limb == np.arange(limbs)[:, None, None])
+    return np.bitwise_or.accumulate(own, axis=1) ^ own
+
+
 class _Search:
     """The dense view of the module docstring, for T atom orders of one lattice.
 
     The BB test, the listing and the sum all read it.  Ids are t*N + x for
-    element x under order t, the t-th of `sequences`.  Row p of
-    `_with_atom` is x v a for the atom a at position p of each order, with
-    the offsets t*N already added, sliced from
-    `BoundedLattice.atom_join_columns` (built once per lattice from its
-    covers) in the smallest integer type that holds T*N; `_first[t*N + x]`
-    is the earliest position, under order t, of an atom strictly below x,
-    or k when there is none.  One order is T = 1, where the ids are the
-    element indices.
+    element x under order t, the t-th of `sequences`.  Two (k, T*N) tables
+    hold what pass m reads in row m: `_ids`, the joins x v a with the atom
+    a at position m of each order, with the offsets t*N added, in the
+    smallest integer type that holds T*N; and `_kept`, whether no atom
+    before position m lies strictly below that join.  Both are gathered by
+    atom row from the lattice's own tables, `BoundedLattice.atom_join_columns`
+    and `_atoms_below_joins`: `_kept` is one AND of the atoms-below masks
+    with the order's prefix masks, so an order reads no `leq`.  One order
+    is T = 1, where the ids are the element indices.
     """
 
     def __init__(self, lattice: BoundedLattice, sequences):
         t, k, n = len(sequences), len(sequences[0]), lattice.size
-        seqs = np.array(sequences, dtype=np.intp).reshape(t, k)
-        self.atoms = seqs.T  # row p: the atom at position p under each order
+        # row p: the atom at position p of each order, and its row in the lattice's tables
+        self.atoms = np.array(sequences, dtype=np.intp).reshape(t, k).T
         self.bottom = lattice.bottom + n * np.arange(t)
         self.size = t * n
-        dtype = np.int16 if t * n < 1 << 15 else np.int32 if t * n < 1 << 31 else np.int64
         rows = np.searchsorted(lattice.atoms(), self.atoms)  # atoms() is ascending
-        joins = lattice.atom_join_columns()[rows].astype(dtype, copy=False)  # (k, T, N)
-        joins += (n * np.arange(t, dtype=dtype))[:, None]
-        self._with_atom = joins.reshape(k, t * n)
-        strict = lattice.poset.leq[seqs]  # (T, k, N)
-        strict[np.arange(t)[:, None], np.arange(k), seqs] = False
-        self._first = np.where(strict.any(axis=1), strict.argmax(axis=1), k).ravel()
+        dtype = np.int16 if t * n < 1 << 15 else np.int32 if t * n < 1 << 31 else np.int64
+        ids = lattice.atom_join_columns()[rows].astype(dtype, copy=False)  # (k, T, N)
+        ids += (n * np.arange(t, dtype=dtype))[:, None]
+        self._ids = ids.reshape(k, t * n)
+        below = _atoms_below_joins(lattice)
+        hit = below[:, rows]  # (limbs, k, T, N)
+        hit &= _prefixes(rows, below.dtype, len(below))[..., None]
+        kept = hit.any(axis=0)
+        self._kept = np.logical_not(kept, out=kept).reshape(k, t * n)
 
-    def with_atom(self, m: int, x: np.ndarray) -> np.ndarray:
-        return self._with_atom[m, x]
-
-    def first(self, y: np.ndarray) -> np.ndarray:
-        return self._first[y]
-
-
-def _prepend(view, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x whose sets stay NBB with the atom at position m prepended, and their joins."""
-    y = view.with_atom(m, x)
-    kept = view.first(y) >= m
-    return x[kept], y[kept]
+    def step(self, m: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every id kept at position m, and its join: a row of each table, whatever g holds."""
+        x = self._kept[m].nonzero()[0]
+        return x, self._ids[m][x]
 
 
 def _mobius_column(order) -> np.ndarray:
     """mu(bottom, x) for every element id x, as signed NBB counts, not listed.
 
     `order` is an AtomOrder, read through a dense `_Search` of its one
-    order, or any view with the two calls of the module docstring; on a
-    view of T orders, entry t*N + x is order t's count at x.  Runs the
+    order, or any view with the step of the module docstring; on a view of
+    T orders, entry t*N + x is order t's count at x.  Runs the
     prepended-minimum recurrence: g holds the signed count of the NBB sets
     (the empty one included) whose members all sit at position m or later,
     per join, and each pass prepends the atom at position m to every set g
@@ -167,10 +206,10 @@ def _mobius_column(order) -> np.ndarray:
     g = np.zeros(view.size, dtype=np.int64)
     g[view.bottom] = 1
     for m in range(len(view.atoms) - 1, -1, -1):
-        x, y = _prepend(view, m, np.flatnonzero(g))
+        x, y = view.step(m, g)
         if view.size > len(g):  # the view reached new elements
             g = np.concatenate((g, np.zeros(view.size - len(g), dtype=np.int64)))
-        np.add.at(g, y, -g[x])
+        np.subtract.at(g, y, g[x])
     return g
 
 
@@ -193,9 +232,10 @@ def is_bounded_below(order: AtomOrder, atoms) -> bool:
     positions = _positions(order, atoms)
     view = _Search(order.lattice, [order.sequence])
     join = view.bottom[0]
-    for p in positions:
-        join = view.with_atom(p, join)
-    return bool(view.first(join) < positions[0])
+    for p in positions[1:]:
+        join = view._ids[p][join]
+    # the set is a_p v join, and BB exactly when a_p is not kept on that join
+    return not view._kept[positions[0]][join]
 
 
 def _nbb_sets(order: AtomOrder) -> dict[int, list[tuple[int, ...]]]:
@@ -208,14 +248,20 @@ def _nbb_sets(order: AtomOrder) -> dict[int, list[tuple[int, ...]]]:
     atoms joining to y, which lies above a_m, would have that earlier atom
     strictly below its join and so be BB.  So a pass never reads a list it
     has extended, and no set takes the same atom twice.  Elements no NBB
-    set joins to are absent.
+    set joins to are absent: `reached` marks those present, and a pass
+    extends the lists of the ids it steps from that are marked.
     """
     view = _Search(order.lattice, [order.sequence])
     sets = {int(view.bottom[0]): [()]}
+    reached = np.zeros(view.size, dtype=bool)
+    reached[view.bottom] = True
     for m in range(len(view.atoms) - 1, -1, -1):
-        xs, ys = _prepend(view, m, np.fromiter(sets, dtype=np.intp, count=len(sets)))
+        xs, ys = view.step(m, reached)
+        held = reached[xs]
+        xs, ys = xs[held], ys[held]
         for u, y in zip(xs.tolist(), ys.tolist()):
             sets.setdefault(y, []).extend([(m, *ps) for ps in sets[u]])
+        reached[ys] = True
     return sets
 
 

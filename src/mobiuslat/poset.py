@@ -50,13 +50,15 @@ the row already has, so it moves neither the maximum nor the outcome of
 the test.
 The lattice check runs the kernel with the irreducibles as targets, the
 meet table with every element, and the join table on the dual.  The NBB
-search reads only the joins x v a with the atoms a, which are the kernel
-on the dual with the atoms as targets.  The kernel answers in extension
-positions: the tables and the atom joins map its columns back to element
-indices, and the check reads only whether it raised.  Every table is
-built only when asked for and kept in the poset's store, which the dual
-shares, under the orientation it belongs to, as are the extension, its
-covers and runs, the Mobius columns and the atoms.
+search reads the joins x v a with the atoms a, which are the kernel on
+the dual with the atoms as targets, and the masks of the atoms below each
+such join, which `nbb` builds from them once and keeps in the store.  A
+join the kernel misses there is named as a missing upper bound.  The
+kernel answers in extension positions: the tables and the atom joins map
+its columns back to element indices, and the check reads only whether it
+raised.  Every table is built only when asked for and kept in the poset's
+store, which the dual shares, under the orientation it belongs to, as are
+the extension, its covers and runs, the Mobius columns and the atoms.
 
 A failed check runs the kernel again with every element as a target, to
 name a witness: the pair without a meet whose later element comes
@@ -195,7 +197,8 @@ class FinitePoset:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         # what is derived from one orientation of the order, kept in a store
         # shared with the dual under (side, key): the extension and its
-        # covers, its runs, the Mobius columns, and the lattice tables and atoms
+        # covers, its runs, the Mobius columns, the lattice tables and atoms,
+        # and the NBB search's masks of the atoms below each atom join
         self._store: dict = {}
         self._side = 0
 
@@ -365,12 +368,14 @@ class BoundedLattice:
     def atom_join_columns(self) -> np.ndarray:
         """The k x N array of x v a, one row per atom a in `atoms()` order.
 
-        The meets of every element with the atoms on the dual, transposed:
-        the kernel's work follows the atom count, not N.
+        The meets of every element with the atoms on the dual, transposed
+        into rows of their own, which an atom order gathers: the kernel's
+        work follows the atom count, not N.  A join the kernel misses is
+        named as a missing upper bound of this orientation.
         """
         def build():
             dual = self.poset.dual()
-            return _by_index(dual, _meets_with(dual, self.atoms())).T
+            return np.ascontiguousarray(_by_index(dual, _meets_with(dual, self.atoms(), "upper")).T)
 
         return self.poset._derived("atom joins", build)
 
@@ -511,7 +516,7 @@ def _padded_covers(lo: np.ndarray, first: np.ndarray, runs: np.ndarray, width: i
     return pieces.tolist(), covers, bounds.tolist() + [len(covers)]
 
 
-def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
+def _meets_with(poset: FinitePoset, targets, bound: str = "lower") -> np.ndarray:
     """x ^ t for every element x and target t, in extension positions.
 
     Row i of the N x len(targets) result is the element at position i of
@@ -537,7 +542,9 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
     whose target comes later does not, since with every element a target
     it may not be the first pair the module docstring's witness rule names.
     The error names the first pair with an earlier target, by row and then
-    by the target's extension position, or else the first flagged pair.
+    by the target's extension position, or else the first flagged pair,
+    as lacking a unique `bound`: "upper" when the caller reads the meets
+    as the joins of the dual.
     """
     n, width = poset.size, len(targets)
     ext, pos, lo, first, runs = _extension_covers(poset)
@@ -572,7 +579,7 @@ def _meets_with(poset: FinitePoset, targets) -> np.ndarray:
         cols[s:e] = np.where(out, best, positions[s:e])
     if witness is not None:
         x, y = witness
-        raise NotALattice(f"no unique lower bound for {poset.labels[x]!r}, {poset.labels[y]!r}")
+        raise NotALattice(f"no unique {bound} bound for {poset.labels[x]!r}, {poset.labels[y]!r}")
     return cols
 
 

@@ -411,7 +411,9 @@ def test_verify_catches_a_dropped_cover(capsys, monkeypatch):
 def test_verify_fails_a_claim_when_a_dropped_cover_breaks_the_lattice_check(capsys, monkeypatch, coatom):
     # C at n=6 loses a cover coatom < 111111 from its edge list: the meet
     # kernel, which walks the covers, finds a pair without a meet, and each
-    # claim that reaches the kernel fails with that pair as its witness
+    # claim that reaches the kernel fails with that pair as its witness.
+    # Each reaches it through the atom joins of the dual, where NBB runs on
+    # C, so the bound the pair lacks is an upper one there
     true_poset = families._family_poset
 
     def dropped(family, n):
@@ -432,6 +434,13 @@ def test_verify_fails_a_claim_when_a_dropped_cover_breaks_the_lattice_check(caps
     assert (code, err) == (1, "")
     failed = [c for c in json.loads(out)["claims"] if not c["pass"]]
     assert failed and all(c["witness"].startswith("no unique") for c in failed)
+    upper = {c["claim"] for c in failed if c["witness"] == f"no unique upper bound for '111111', '{coatom}'"}
+    assert upper == {c["claim"] for c in failed} == {
+        "coatom-meet-formula",
+        "mobius-identity",
+        "nbb-bases-predicted",
+        "nbb-order-independence",
+    }
 
 
 def test_available_memory_reads_meminfo_then_physical_pages(monkeypatch):

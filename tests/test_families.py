@@ -80,6 +80,33 @@ def test_composition_words_counts():
         composition_words(0)
 
 
+def composition_words_by_sorting(n):
+    """Every 1/2 composition of n by plain recursion, then sorted: the oracle."""
+    def rec(m):
+        if m == 0:
+            return [()]
+        out = [(1,) + w for w in rec(m - 1)]
+        if m >= 2:
+            out += [(2,) + w for w in rec(m - 2)]
+        return out
+
+    return sorted(rec(n))
+
+
+def split_mask(word):
+    """Bit s-1 set for each partial sum s of a composition word, short of n."""
+    return sum(1 << (total - 1) for total in itertools.accumulate(word[:-1]))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_compositions_come_from_the_recurrence_in_order(n):
+    # words, labels and split masks in one pass over the Fibonacci recurrence
+    words, labels, masks = families._compositions(n)
+    assert composition_words(n) == words == composition_words_by_sorting(n)
+    assert labels == [word_label(w) for w in words]
+    assert masks == [split_mask(w) for w in words]
+
+
 def test_word_label():
     assert word_label((2, 1, 1)) == "211"
     assert word_label((1,)) == "1"
@@ -215,6 +242,30 @@ def test_containment_order_matches_subset_test(chunk, nbits, data):
         _containment_order(_pack(masks), bordered[1:, 1:])
     assert np.array_equal(bordered[1:, 1:], expect)
     assert (bordered[0] == border).all() and (bordered[:, 0] == border).all()
+
+
+@pytest.mark.parametrize("nbits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100])
+def test_containment_order_narrows_one_limb_and_matches_the_uint64_fill(monkeypatch, nbits):
+    # one-limb masks go to the narrowest unsigned type that holds the widest;
+    # the matrix is the uint64 fill's, and two limbs (100 bits) stay uint64
+    rng = random.Random(nbits)
+    drawn = [rng.getrandbits(nbits) for _ in range(40)] + [1 << (nbits - 1), (1 << nbits) - 1, 0]
+    masks = drawn + [a & b for a, b in zip(drawn, drawn[1:])] + [a | b for a, b in zip(drawn, drawn[1:])]
+    packed = _pack(masks)
+    seen = []
+    real = families._subsets
+
+    def recording(a, not_b, out=None):
+        seen.append((a.dtype, not_b.dtype))
+        return real(a, not_b, out=out)
+
+    monkeypatch.setattr(families, "_subsets", recording)
+    order = np.empty((len(masks),) * 2, dtype=bool)
+    _containment_order(packed, order)
+    assert np.array_equal(order, real(packed, ~packed))
+    dtype = np.dtype(next((t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= nbits), np.uint64))
+    assert set(seen) == {(dtype, dtype)}
+    assert packed.shape[1] == (2 if nbits > 64 else 1)
 
 
 def test_family_element_counts():

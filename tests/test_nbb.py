@@ -421,9 +421,10 @@ def wide_lattice(k):
 
 
 def test_seventy_atoms_stay_exact():
-    # in the canonical order {a68, a69} is BB only through a67, whose
-    # position, 67, is past what an int64 below-mask can hold
+    # in the canonical order {a68, a69} is BB only through a67, whose atom
+    # row, 67, lies in the second 64-bit limb of the atoms-below masks
     lat = wide_lattice(70)
+    assert nbb_module._atoms_below_joins(lat).shape == (2, 70, lat.size)
     e = lat.poset.index("e")
     assert lat.poset.mobius(lat.bottom, e) == 2
     assert lat.mobius_number() == 67
@@ -439,6 +440,97 @@ def test_seventy_atoms_stay_exact():
     assert mobius_via_nbb(shuffled_order(lat, random.Random(70))) == 67
     column_case(canonical)
     column_case(shuffled_order(lat, random.Random(71)))
+
+
+# -- the search's tables against the definition they replaced ---------------
+
+
+def oracle_tables(lat, sequences):
+    """`_Search`'s id and kept tables from the definition it replaced: the oracle.
+
+    first[t, y] is the earliest position under order t of an atom strictly
+    below y, or k when there is none, by argmax over k rows of `leq`; the
+    id of x at position m is x v a_m, offset by t*N, and x is kept there
+    when first(x v a_m) >= m.
+    """
+    t, k, n = len(sequences), len(sequences[0]), lat.size
+    seqs = np.array(sequences, dtype=np.intp).reshape(t, k)
+    strict = lat.poset.leq[seqs]  # (T, k, N)
+    strict[np.arange(t)[:, None], np.arange(k), seqs] = False
+    first = np.where(strict.any(axis=1), strict.argmax(axis=1), k)  # (T, N)
+    joins = np.transpose(lat.join_table[:, seqs], (2, 1, 0))  # (k, T, N)
+    kept = first[np.arange(t)[:, None], joins] >= np.arange(k)[:, None, None]
+    ids = joins + (n * np.arange(t))[:, None]
+    return ids.reshape(k, t * n), kept.reshape(k, t * n)
+
+
+def tables_case(lat, sequences):
+    view = nbb_module._Search(lat, sequences)
+    ids, kept = oracle_tables(lat, sequences)
+    assert view._ids.tolist() == ids.tolist()
+    assert view._kept.tolist() == kept.tolist()
+
+
+# wide-70 needs two limbs of atoms-below masks, and each family at n=1 has one atom
+NAMED_LATTICES = {"m3": m3_lattice, "partition-4": lambda: partition_lattice(4), "wide-70": lambda: wide_lattice(70)}
+TABLE_LATTICES = [*NAMED_LATTICES] + [
+    f"{family}{n}{side}" for family in "ABC" for n in range(1, 8) for side in ("", "-dual")
+]
+
+
+def table_lattice(name):
+    if name in NAMED_LATTICES:
+        return NAMED_LATTICES[name]()
+    lattice = build_family(name[0], int(name[1:].removesuffix("-dual"))).lattice
+    return lattice.dual() if name.endswith("-dual") else lattice
+
+
+@pytest.mark.parametrize("name", TABLE_LATTICES)
+def test_search_tables_match_the_first_position_definition(name):
+    # at every position and element, one order at a time and three stacked
+    lat = table_lattice(name)
+    rng = random.Random(f"tables:{name}")
+    sequences = [tuple(lat.atoms())] + [shuffled_order(lat, rng).sequence for _ in range(2)]
+    for seq in sequences:
+        tables_case(lat, [seq])
+    tables_case(lat, sequences)
+
+
+def test_a_prefix_holding_its_own_atom_fails_the_column(monkeypatch):
+    # the atoms before position m must leave out a_m itself, which lies
+    # strictly below every x v a_m other than a_m: with it the column breaks
+    real = nbb_module._prefixes
+
+    def with_own_atom(rows, dtype, limbs):
+        bits = 8 * np.dtype(dtype).itemsize
+        own = np.left_shift(np.ones((), dtype), (rows % bits).astype(dtype))
+        return real(rows, dtype, limbs) | own * (rows // bits == np.arange(limbs)[:, None, None])
+
+    monkeypatch.setattr(nbb_module, "_prefixes", with_own_atom)
+    for lat in (m3_lattice(), partition_lattice(4), build_family("C", 6).lattice.dual()):
+        with pytest.raises(AssertionError):
+            column_case(AtomOrder(lat, tuple(lat.atoms())))
+
+
+def test_a_new_order_reads_no_leq(monkeypatch):
+    # once the lattice's tables exist, an atom order reads them alone
+    fam = build_family("C", 10)
+    lattice = fam.nbb_lattice
+    want = lattice.mobius_number()
+    assert mobius_via_nbb(fam.canonical_order) == want  # builds the tables
+
+    def no_leq(poset):
+        raise AssertionError("an atom order read leq")
+
+    monkeypatch.setattr(FinitePoset, "leq", property(no_leq), raising=False)
+    with pytest.raises(AssertionError):
+        lattice.poset.leq
+    rng = random.Random("no leq")
+    orders = [shuffled_order(lattice, rng) for _ in range(60)]
+    nbb_module._Search(lattice, [order.sequence for order in orders])
+    for order in orders:
+        nbb_module._Search(lattice, [order.sequence])
+        assert mobius_via_nbb(order) == want
 
 
 # -- atom join columns against the join table and the brute force ------------

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mobiuslat.poset as poset_module
-from mobiuslat.families import build_family, weak_order_lattice
+from mobiuslat.families import _family_poset, build_family, weak_order_lattice
 from mobiuslat.nbb import shuffled_order
 from mobiuslat.poset import (
     CycleDetected,
@@ -700,6 +700,22 @@ def test_check_that_flags_only_later_targets_still_fails():
     assert meet_table_or_message(p) == "no unique lower bound for 'm', 'x'"
     with pytest.raises(NotALattice, match="^no unique lower bound for 'm', 'x'$"):
         as_lattice(p)
+
+
+def test_a_join_the_atom_kernel_misses_is_named_a_missing_upper_bound():
+    # C at n=6 without the cover 11211 < 111111 in its edge list passes the
+    # check, but the kernel, which walks the covers, misses 111111 ^ 11211.
+    # The meet table names a missing lower bound of C; the atom joins of the
+    # dual, whose joins are C's meets, name a missing upper bound of the dual
+    poset = _family_poset("C", 6)[0]
+    lo, hi = poset._covers
+    keep = (lo != poset.index("11211")) | (hi != poset.index("111111"))
+    poset._covers = (lo[keep], hi[keep])
+    lattice = as_lattice(poset)
+    with pytest.raises(NotALattice, match="^no unique upper bound for '111111', '11211'$"):
+        lattice.dual().atom_join_columns()
+    with pytest.raises(NotALattice, match="^no unique lower bound for '111111', '11211'$"):
+        lattice.meet_table
 
 
 def test_lattice_check_examples_are_a_lattice_and_not_one():
