@@ -32,6 +32,7 @@ from .families import (
     build_family,
     composition_words,
     mobius_summary,
+    nbb_summary,
     phi,
     predicted_nbb_bases,
     psi,
@@ -104,6 +105,7 @@ __all__ = [
     "mobius_summary",
     "mobius_via_nbb",
     "nbb_bases_of",
+    "nbb_summary",
     "phi",
     "predicted_nbb_bases",
     "psi",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: mobius (all computations of the Mobius number side by side),
-nbb-bases (enumerate NBB bases of the adjoined bound, optionally against
-the sparse-set prediction), verify (the full claim suite as text or JSON),
+nbb-bases (the NBB bases of the adjoined bound against the sparse-set
+prediction, as `families.nbb_summary` compares them for the claim
+nbb-bases-predicted too), verify (the full claim suite as text or JSON),
 hasse (DOT or JSON diagram export), fib (polynomial table).
 
 Exit status 0 means every requested computation agreed, 1 means some
@@ -27,15 +28,8 @@ import math
 import os
 import sys
 
-from .families import (
-    _family_poset,
-    build_family,
-    mobius_summary,
-    predicted_nbb_bases,
-    verify_all,
-)
+from .families import _family_poset, build_family, mobius_summary, nbb_summary, verify_all
 from .fibpoly import fib_poly, h_poly
-from .nbb import nbb_bases_of
 
 # bound here, so that it clears build_family's own cache even where a wrapper
 # without cache_clear is later bound over the name, as a tracer does
@@ -224,45 +218,24 @@ def cmd_nbb_bases(parser, args) -> int:
         parser.error("n must be positive")
     what = f"family {args.family} at n={n}"
     _admit(parser, args.force, what, _dense_estimate, args.family, n, n)
-    fam = build_family(args.family, n)
-    bases = nbb_bases_of(fam.canonical_order, fam.nbb_target)
-    listed = [fam.canonical_order.labels(b.atoms) for b in bases]
-    side = "atoms" if args.family == "B" else "coatoms"
-    predicted = None
-    match = None
-    if n >= 3:
-        predicted = [list(b) for b in predicted_nbb_bases(args.family, n)]
-        match = {frozenset(b) for b in listed} == {frozenset(b) for b in predicted}
+    summary = nbb_summary(args.family, n)
     if args.format == "json":
-        print(
-            _json_dumps(
-                {
-                    "family": args.family,
-                    "n": n,
-                    "side": side,
-                    "order": [fam.nbb_lattice.labels[a] for a in fam.canonical_order.sequence],
-                    "bases": listed,
-                    "predicted": predicted,
-                    "match": match,
-                }
-            )
-        )
+        print(_json_dumps(summary))
     else:
-        print(f"NBB bases of {fam.adjoined} in family {args.family}, n={n} ({side}):")
-        for b in listed:
+        adjoined = build_family(args.family, n).adjoined  # cached by nbb_summary
+        print(f"NBB bases of {adjoined} in family {args.family}, n={n} ({summary['side']}):")
+        for b in summary["bases"]:
             print("  " + " ".join(b))
-        if not listed:
+        if not summary["bases"]:
             print("  (none)")
-        if predicted is None:
+        if summary["predicted"] is None:
             print("prediction unavailable (n<3)")
         else:
-            print("prediction: " + ("match" if match else "MISMATCH"))
+            print("prediction: " + ("match" if summary["match"] else "MISMATCH"))
             if args.predict:
-                for b in predicted:
+                for b in summary["predicted"]:
                     print("  " + " ".join(b))
-    if match is False:
-        return 1
-    return 0
+    return 1 if summary["match"] is False else 0
 
 
 def cmd_verify(parser, args) -> int:

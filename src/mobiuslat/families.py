@@ -50,7 +50,7 @@ from .permutation import (
     inversion_limbs,
     weak_join,
 )
-from .permutation import _avoider_words, _contains_rows, _rows, pair_index
+from .permutation import _avoider_words, _bit_counts, _contains_rows, _rows, pair_index
 from .poset import BoundedLattice, CycleDetected, FinitePoset, NotALattice, as_lattice
 
 BOTTOM_LABEL = "0̂"
@@ -162,18 +162,18 @@ def _containment_order(packed: np.ndarray, out: np.ndarray) -> None:
         _subsets(packed[lo : lo + step], outside, out=out[lo : lo + step])
 
 
-def _mobius_by_rank(packed: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _mobius_by_rank(packed: np.ndarray) -> np.ndarray:
     """mu(bottom, x) over packed masks under containment, then at a top adjoined last.
 
     `packed` holds the masks as rows of 64-bit limbs, laid out like
-    `_pack`, and `counts` their bit counts; one mask must be 0, the bottom.
-    A mask lies strictly inside another only at a smaller bit count, so
-    going up by bit count, mu(bottom, x) is minus the sum of the values
-    already found at the masks inside x.  Only the nonzero values, mu's
-    support, are kept to be tested against the next counts, and the top
-    gets minus the sum of them all.  No N x N array is made: each block of
-    subset tests is support by block.
+    `_pack`; one mask must be 0, the bottom.  A mask lies strictly inside
+    another only at a smaller bit count, so going up by bit count,
+    mu(bottom, x) is minus the sum of the values already found at the masks
+    inside x.  Only the nonzero values, mu's support, are kept to be tested
+    against the next counts, and the top gets minus the sum of them all.
+    No N x N array is made: each block of subset tests is support by block.
     """
+    counts = _bit_counts(packed)
     by_count = np.argsort(counts, kind="stable")
     mu = np.zeros(len(packed) + 1, dtype=np.int64)
     support, values = packed[:0], mu[:0]
@@ -276,7 +276,7 @@ def _table_free_mobius_b(n: int) -> tuple[int, int]:
     taken straight from the walk's word array; the NBB sum, under the
     canonical order, on a `_MaskView`, which shares no join code with it.
     """
-    recurrence = int(_mobius_by_rank(*inversion_limbs(avoiders_321(n)))[-1])
+    recurrence = int(_mobius_by_rank(inversion_limbs(avoiders_321(n)))[-1])
     view = _MaskView(n, range(1, n))
     return recurrence, int(_mobius_column(view)[view.top])
 
@@ -322,13 +322,10 @@ class FamilyLattice:
     @cached_property
     def canonical_order(self) -> AtomOrder:
         """B: adjacent transpositions by index; A, C: coatoms by theta index."""
-        n = self.n
-        if n == 1:
+        if self.n == 1:
             return AtomOrder(self.nbb_lattice, tuple(self.nbb_lattice.atoms()))
-        seq = tuple(
-            self.lattice.poset.index(_canonical_atom(self.family, n, i)) for i in range(1, n)
-        )
-        return AtomOrder(self.nbb_lattice, seq)
+        index = self.lattice.poset.index
+        return AtomOrder(self.nbb_lattice, tuple(map(index, _canonical_atoms(self.family, self.n))))
 
     def _canonical_join(self, indices) -> int:
         """Join in `nbb_lattice` of the canonical atoms i: s_i in B, theta_i in A and C.
@@ -345,13 +342,12 @@ class FamilyLattice:
         return acc
 
 
-def _canonical_atom(family: str, n: int, i: int) -> str:
-    """Label of canonical atom (B) or coatom (A, C) number i, 1 <= i < n."""
+def _canonical_atoms(family: str, n: int) -> list[str]:
+    """Labels of the canonical atoms (B) or coatoms (A, C) numbered 1 to n - 1, in that order."""
     if family == "B":
-        return str(adjacent_transposition(n, i))
-    if family == "C":
-        return word_label(theta(n, i))
-    return str(phi(n, theta(n, i)))
+        return [str(adjacent_transposition(n, i)) for i in range(1, n)]
+    name = word_label if family == "C" else partial(phi, n)
+    return [str(name(theta(n, i))) for i in range(1, n)]
 
 
 def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, np.ndarray | list]:
@@ -378,7 +374,7 @@ def _family_poset(family: str, n: int) -> tuple[FinitePoset, str, np.ndarray | l
         else:
             avoiders = enumerate_avoiders(n, AVOIDED_PATTERNS[family])
             words = np.array([p.word for p in avoiders], dtype=np.int8)
-        labels, packed = _word_labels(words), inversion_limbs(words)[0]
+        labels, packed = _word_labels(words), inversion_limbs(words)
     leq = np.zeros((len(words) + 1,) * 2, dtype=bool)
     if family == "B":
         leq[:, -1] = True
@@ -417,7 +413,7 @@ def weak_order_lattice(n: int) -> BoundedLattice:
     """All of S_n under the weak order, as a lattice."""
     words = _avoider_words(n)
     leq = np.empty((len(words), len(words)), dtype=bool)
-    _containment_order(inversion_limbs(words)[0], leq)
+    _containment_order(inversion_limbs(words), leq)
     return as_lattice(FinitePoset(_word_labels(words), leq))
 
 
@@ -512,11 +508,8 @@ def predicted_nbb_bases(family: str, n: int) -> list[tuple[str, ...]]:
         raise ValueError(f"unknown family {family!r}")
     if n < 3:
         raise ValueError("predictions need n >= 3")
-    out = []
-    for s in sparse_sets(n - 2):
-        indices = sorted({1} | {v + 1 for v in s})
-        out.append(tuple(_canonical_atom(family, n, i) for i in indices))
-    return out
+    atoms = _canonical_atoms(family, n)
+    return [(atoms[0], *(atoms[v] for v in s)) for s in sparse_sets(n - 2)]
 
 
 def sparse_signed_sum(n: int) -> int:
@@ -755,23 +748,46 @@ def _isomorphism(n: int, seed: int) -> list[str]:
     return failures
 
 
+def _nbb_mismatch(bases: list, predicted: list) -> list[str]:
+    """How listed NBB bases differ from the predicted ones: as sets of bases, or in number."""
+    found, expected = {frozenset(b) for b in bases}, {frozenset(b) for b in predicted}
+    failures = []
+    if found - expected:
+        failures.append(f"unpredicted base {sorted(next(iter(found - expected)))}")
+    if expected - found:
+        failures.append(f"missing base {sorted(next(iter(expected - found)))}")
+    if len(bases) != len(predicted):
+        failures.append(f"{len(bases)} bases but {len(predicted)} sparse sets")
+    return failures
+
+
+def nbb_summary(family: str, n: int) -> dict:
+    """The NBB bases of the adjoined bound under the canonical order, against the prediction.
+
+    What `nbb-bases` prints and the claim nbb-bases-predicted checks.  Bases
+    and order are labels, each base in order position.  From n = 3 on,
+    `match` says whether the listing holds the predicted bases and as many
+    of them; below, it and `predicted` are None.
+    """
+    fam = build_family(family, n)
+    labels, order = fam.nbb_lattice.labels, fam.canonical_order
+    bases = [[labels[a] for a in b.atoms] for b in nbb_bases_of(order, fam.nbb_target)]
+    predicted = [list(b) for b in predicted_nbb_bases(family, n)] if n >= 3 else None
+    return {
+        "family": family,
+        "n": n,
+        "side": "atoms" if family == "B" else "coatoms",
+        "order": [labels[a] for a in order.sequence],
+        "bases": bases,
+        "predicted": predicted,
+        "match": None if predicted is None else not _nbb_mismatch(bases, predicted),
+    }
+
+
 def _nbb_prediction(family: str, n: int, seed: int) -> list[str]:
     """Enumerated NBB bases of the adjoined bound match the predictions."""
-    fam = build_family(family, n)
-    bases = nbb_bases_of(fam.canonical_order, fam.nbb_target)
-    found = {frozenset(fam.nbb_lattice.labels[a] for a in b.atoms) for b in bases}
-    predicted = {frozenset(b) for b in predicted_nbb_bases(family, n)}
-    failures = []
-    if found != predicted:
-        extra = found - predicted
-        missing = predicted - found
-        if extra:
-            failures.append(f"unpredicted base {sorted(next(iter(extra)))}")
-        if missing:
-            failures.append(f"missing base {sorted(next(iter(missing)))}")
-    if len(bases) != len(sparse_sets(n - 2)):
-        failures.append(f"{len(bases)} bases but {len(sparse_sets(n - 2))} sparse sets")
-    return failures
+    summary = nbb_summary(family, n)
+    return _nbb_mismatch(summary["bases"], summary["predicted"])
 
 
 def mobius_summary(n: int, families=("A", "B", "C")) -> dict:

@@ -377,26 +377,38 @@ def avoiders_321(n: int) -> np.ndarray:
     return columns.T
 
 
-def inversion_limbs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inversion masks of a word array as rows of 64-bit limbs, and their sizes.
+def inversion_limbs(words: np.ndarray) -> np.ndarray:
+    """Inversion masks of a word array as rows of 64-bit limbs.
 
     Row r is inversion_mask of word r, limb k holding its bits 64k to
-    64k + 63, in ceil(n(n-1)/2 / 64) limbs (at least one); counts[r] is
-    its number of inversions.  One column comparison per pair (i, j) sets
-    bit pair_index(n, i, j) of every row at once, in the little-endian
-    bytes that the limbs view.
+    64k + 63, in ceil(n(n-1)/2 / 64) limbs (at least one), and
+    `_bit_counts` of a row is its number of inversions.  One column
+    comparison per pair (i, j) sets bit pair_index(n, i, j) of every row at
+    once, in the little-endian bytes that the limbs view.
     """
     rows, n = words.shape
     limbs = max(1, (n * (n - 1) // 2 + 63) // 64)
     columns = np.ascontiguousarray(words.T)
     octets = np.zeros((8 * limbs, rows), dtype=np.uint8)
-    counts = np.zeros(rows, dtype=np.int16)
     above = np.empty(rows, dtype=bool)
     bit = 0
     for i in range(n):
         for j in range(i + 1, n):
             np.greater(columns[i], columns[j], out=above)
-            counts += above
             octets[bit >> 3] |= above.view(np.uint8) << (bit & 7)
             bit += 1
-    return np.ascontiguousarray(octets.T).view("<u8"), counts
+    return np.ascontiguousarray(octets.T).view("<u8")
+
+
+_BYTE_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+
+
+def _bit_counts(packed: np.ndarray) -> np.ndarray:
+    """The number of bits set in each row of packed masks, a byte column at a time.
+
+    No temporary then takes more than a byte per row.
+    """
+    counts = np.zeros(len(packed), dtype=np.int16)
+    for column in packed.view(np.uint8).T:
+        counts += _BYTE_BITS[column]
+    return counts

@@ -81,6 +81,7 @@ run that stops nowhere flags nothing and completes the table.
 from __future__ import annotations
 
 import copy
+import graphlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,29 +214,15 @@ class FinitePoset:
         """
         labels = tuple(labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        up = [[] for _ in range(n)]
-        indeg_out = [0] * n
+        up = {v: [] for v in range(len(labels))}
         for lo, hi in covers:
             up[index[lo]].append(index[hi])
-            indeg_out[index[hi]] += 1
-        # Kahn order over the cover digraph
-        order = [v for v in range(n) if indeg_out[v] == 0]
-        seen = list(order)
-        indeg = indeg_out[:]
-        while order:
-            nxt = []
-            for v in order:
-                for w in up[v]:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        nxt.append(w)
-            seen.extend(nxt)
-            order = nxt
-        if len(seen) != n:
-            raise CycleDetected("cover relation contains a cycle")
-        leq = np.eye(n, dtype=bool)
-        for v in reversed(seen):
+        try:  # each element after every element above it
+            order = list(graphlib.TopologicalSorter(up).static_order())
+        except graphlib.CycleError:
+            raise CycleDetected("cover relation contains a cycle") from None
+        leq = np.eye(len(labels), dtype=bool)
+        for v in order:
             for w in up[v]:
                 leq[v] |= leq[w]
         return cls(labels, leq)

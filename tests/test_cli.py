@@ -215,10 +215,10 @@ def test_mobius_b_recurrence_missing_a_support_element_is_caught(capsys, monkeyp
     # it; some atoms leave mu(0, 1) at n=9 unchanged, s_3 moves it from 1 to 2
     by_rank, s3 = families._mobius_by_rank, 1 << pair_index(9, 3, 4)
 
-    def without_s3(packed, counts):
+    def without_s3(packed):
         keep = packed[:, 0] != s3
         assert packed.shape[1] == 1 and (~keep).sum() == 1
-        return by_rank(packed[keep], counts[keep])
+        return by_rank(packed[keep])
 
     monkeypatch.setattr(families, "_mobius_by_rank", without_s3)
     assert families._table_free_mobius_b(9) == (2, 1)
@@ -287,10 +287,22 @@ def test_nbb_bases_small_n(capsys):
 
 
 def test_nbb_bases_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "predicted_nbb_bases", lambda family, n: [("21",)])
+    monkeypatch.setattr(families, "predicted_nbb_bases", lambda family, n: [("21",)])
     code, out, _ = run_capture(capsys, ["nbb-bases", "--family", "C", "--n", "3"])
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_a_repeated_base_fails_the_command_and_the_claim_alike(capsys, monkeypatch):
+    # the listed bases equal the predicted ones as sets, but one comes twice:
+    # nbb-bases and the claim nbb-bases-predicted run the one comparison,
+    # which counts the bases as well
+    listed = families.nbb_bases_of
+    monkeypatch.setattr(families, "nbb_bases_of", lambda order, x: listed(order, x)[:1] + listed(order, x))
+    code, out, _ = run_capture(capsys, ["nbb-bases", "--family", "C", "--n", "6"])
+    assert code == 1
+    assert "prediction: MISMATCH" in out
+    assert families._nbb_prediction("C", 6, 0) == ["4 bases but 3 sparse sets"]
 
 
 def test_nbb_bases_rejects_bad_n(capsys):

@@ -434,6 +434,14 @@ def test_predicted_nbb_bases_examples():
     assert predicted_nbb_bases("A", 3) == [("231", "312")]
 
 
+def test_predicted_nbb_bases_name_each_canonical_coatom_once(monkeypatch):
+    # 1597 bases of up to 10 coatoms each, from the 18 coatoms of A19
+    calls = []
+    monkeypatch.setattr(families, "phi", lambda n, word: calls.append(word) or phi(n, word))
+    assert len(predicted_nbb_bases("A", 19)) == 1597
+    assert len(calls) <= 18
+
+
 def test_predicted_nbb_bases_rejects():
     with pytest.raises(ValueError):
         predicted_nbb_bases("B", 2)
@@ -627,7 +635,7 @@ def test_chained_inversion_predicate_matches_per_word_loop():
     # on a whole array of words' rows at once, as the claim calls it
     for n in range(1, 8):
         words = list(itertools.permutations(range(1, n + 1)))
-        packed = inversion_limbs(np.array(words, dtype=np.uint8).reshape(-1, n))[0]
+        packed = inversion_limbs(np.array(words, dtype=np.uint8).reshape(-1, n))
         on_arrays = _chained(_rows(n, packed[:, 0].view(np.int64)))
         for w, flag in zip(words, on_arrays.tolist()):
             inv = inversion_set(Permutation(w))
@@ -857,12 +865,12 @@ def test_mask_joins_match_atom_join_columns():
 def test_mask_recurrence_matches_the_dense_recurrence():
     for n in range(1, 10):
         lattice = build_family("B", n).lattice
-        column = _mobius_by_rank(*inversion_limbs(avoiders_321(n)))
+        column = _mobius_by_rank(inversion_limbs(avoiders_321(n)))
         assert column.tolist() == lattice.poset._mobius_from(lattice.bottom).tolist(), n
 
 
 def mobius_by_rank_of(masks):
-    return _mobius_by_rank(_pack(masks), np.array([m.bit_count() for m in masks]))
+    return _mobius_by_rank(_pack(masks))
 
 
 def test_mask_recurrence_on_small_orders():

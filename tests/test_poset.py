@@ -143,6 +143,8 @@ def test_from_covers_detects_cycle():
         FinitePoset.from_covers("ab", [("a", "b"), ("b", "a")])
     with pytest.raises(CycleDetected):
         FinitePoset.from_covers("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(CycleDetected):
+        FinitePoset.from_covers("a", [("a", "a")])
 
 
 def test_duplicate_labels_rejected():
